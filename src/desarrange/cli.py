@@ -25,7 +25,20 @@ STAT_TABLE_IDS = {2: "des", 3: "pk", 4: "val", 5: "dasc", 6: "ddes"}
 
 
 def _parse_rational(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0: {value}")
+    return value
 
 
 def _emit(text: str):
@@ -226,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-t", type=_parse_rational, default=Fraction(1),
                    help='t value, e.g. 2 or "3/2"')
     p.add_argument("-s", type=_parse_rational, default=Fraction(1))
-    p.add_argument("--order", type=int, default=8)
+    p.add_argument("--order", type=_non_negative_int, default=8)
     p.add_argument("--oracle", action="store_true",
                    help="also print the enumeration cross-check")
     p.add_argument("--correction", choices=("cosh", "one", "none"), default="none",

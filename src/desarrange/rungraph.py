@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .perms import descent_composition, enumerate_class, enumeration_cap, CapExceededError
+from .perms import descent_composition, enumerate_class
 from .series import SeriesMatrix, TruncSeries, hat_transform
 
 BUILTIN_SPECS = ("fig1", "fig2", "fig3")
@@ -98,6 +98,9 @@ class Edge:
 
     def __post_init__(self):
         _check_cases(self)
+
+    def admits(self, k: int) -> bool:
+        return any(k in case.guard for case in self.cases)
 
     def weight(self, k: int, t: Fraction, s: Fraction) -> Fraction | None:
         """Weight of part k, or None when k is not an admissible part here."""
@@ -221,35 +224,78 @@ class AdmissibilityReport:
     violation: tuple[tuple[int, ...], int, int] | None  # (composition, i, j)
 
 
-def _compositions_of(total: int):
-    if total == 0:
-        yield ()
-        return
-    for cuts in itertools.product((0, 1), repeat=total - 1):
-        parts = []
-        run = 1
-        for c in cuts:
-            if c:
-                parts.append(run)
-                run = 1
-            else:
-                run += 1
-        parts.append(run)
-        yield tuple(parts)
+def _step(states, moves):
+    """Read one part on both sides of the self-product: every pair of moves."""
+    return {(u2, v2, d or u2 != v2)
+            for u, v, d in states for u2 in moves[u] for v2 in moves[v]}
 
 
 def validate_unique_admissibility(spec: RunGraphSpec, max_size: int) -> AdmissibilityReport:
-    """Check every composition of every size <= max_size against every start vertex."""
-    if max_size > 2 * enumeration_cap():
-        raise CapExceededError(f"max_size {max_size} above sanity bound")
+    """Decide whether some composition of size <= max_size is admissible along two paths.
+
+    Runs the ambiguity test on the self-product automaton (Weber & Seidl
+    1991; Allauzen, Mohri & Rastogi 2008).  A state (u, v, diverged) follows
+    two paths at once, both reading the same part k along an edge that admits
+    it; diverged records whether the two paths ever stood at different
+    vertices (a spec has at most one edge per vertex pair, so two paths
+    differ iff their vertices do).  Two paths from some i meet again at some
+    j iff a state (j, j, True) is reachable from some (i, i, False), so a DP
+    over the total part size s = 0..max_size finds the smallest violating
+    size.  The start vertex need not be part of the state: the union over
+    all i is reachable exactly when one of them is.  The weights are never
+    read.  Cost: O(max_size^2 * dim^2 * out-degree^2).
+
+    The report is the one the exhaustive search would return, which tries
+    sizes in increasing order, then the compositions of one size with the
+    largest first part first, then the largest second part and so on, then
+    start vertices i in increasing order, then end vertices j in the dict
+    order of _weighted_dp.  The witness composition is rebuilt greedily,
+    largest part first, keeping only states from which a violation can be
+    finished with exactly the size that remains; i and j are then picked by
+    running _weighted_dp on it.
+    """
+    # moves[k][u]: the ends of the edges out of u whose guards admit part k
+    moves = [None] + [
+        {u: [e.dst for e in spec.edges_from(u) if e.admits(k)]
+         for u in range(1, spec.dim + 1)}
+        for k in range(1, max_size + 1)]
+    reach = [{(i, i, False) for i in range(1, spec.dim + 1)}]  # by total size
     for total in range(1, max_size + 1):
-        for comp in _compositions_of(total):
+        reach.append(set().union(*(_step(reach[total - k], moves[k])
+                                   for k in range(1, total + 1))))
+        if any(u == v and d for u, v, d in reach[total]):
+            comp = _first_violating_composition(spec, moves, total)
             for i in range(1, spec.dim + 1):
                 state = _weighted_dp(spec, i, comp, Fraction(1), Fraction(1))
                 for j, (cnt, _) in state.items():
                     if cnt > 1:
                         return AdmissibilityReport(False, max_size, (comp, i, j))
+            raise AssertionError(f"{comp} reaches a violation but none is found")
     return AdmissibilityReport(True, max_size, None)
+
+
+def _first_violating_composition(spec: RunGraphSpec, moves, total: int) -> tuple[int, ...]:
+    """The violating composition of the given size with the largest parts first."""
+    states = [(u, v, d) for u in range(1, spec.dim + 1)
+              for v in range(1, spec.dim + 1) for d in (False, True)]
+    # finish[r]: the states from which exactly r more reach some (j, j, True)
+    finish = [{(j, j, True) for j in range(1, spec.dim + 1)}]
+    for r in range(1, total + 1):
+        finish.append({st for st in states
+                       if any(_step((st,), moves[k]) & finish[r - k]
+                              for k in range(1, r + 1))})
+    front = {(i, i, False) for i in range(1, spec.dim + 1)}
+    parts = []
+    left = total
+    while left:
+        for k in range(left, 0, -1):
+            nxt = _step(front, moves[k]) & finish[left - k]
+            if nxt:
+                break
+        parts.append(k)
+        front = nxt
+        left -= k
+    return tuple(parts)
 
 
 # --- the pipeline ---

@@ -78,6 +78,16 @@ STAT_TABLES = {
 }
 
 DERANGEMENT_NUMBERS = [1, 0, 1, 2, 9, 44, 265, 1854, 14833, 133496, 1334961, 14684570]
+
+
+def derangement_numbers(n_max):
+    """d_0..d_n_max from d_n = (n-1)(d_{n-1} + d_{n-2}), independent of the package."""
+    d = [1, 0]
+    for n in range(2, n_max + 1):
+        d.append((n - 1) * (d[-1] + d[-2]))
+    return d[:n_max + 1]
+
+
 FINE_NUMBERS = [0, 1, 0, 1, 2, 6, 18, 57, 186, 622, 2120, 7338]
 JACOBSTHAL_NUMBERS = [0, 1, 1, 3, 5, 11, 21, 43, 85, 171, 341, 683]
 # a_11 by the defining recurrence is 13035 = C_10 - a_10; the printed table

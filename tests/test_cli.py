@@ -5,6 +5,8 @@ import pytest
 
 from desarrange import cli
 
+from reference_tables import derangement_numbers
+
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
@@ -70,6 +72,13 @@ def test_runthm_rational_t(capsys):
     assert out.strip().split(",")[2] == "1/3"  # the lone length-2 desarrangement
 
 
+def test_runthm_order_beyond_enumeration_cap(capsys):
+    code, out = run(capsys, "runthm", "fig1", "-i", "1", "-j", "3",
+                    "--correction", "cosh", "--order", "25")
+    assert code == 0
+    assert out.strip() == ",".join(str(d) for d in derangement_numbers(25))
+
+
 def test_runthm_errors(capsys, tmp_path):
     code, _ = run(capsys, "runthm", "nonexistent.json", "-i", "1", "-j", "2")
     assert code == 2
@@ -118,6 +127,12 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    for bad in (["-t", "1/0"], ["-s", "1/0"], ["-t", "two"], ["--order", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["runthm", "fig2", "-i", "1", "-j", "2", *bad])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.count("error:") == 1
 
 
 def test_cap_override(capsys, monkeypatch):

@@ -1,18 +1,20 @@
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from desarrange import rungraph
 from desarrange.formulas import evaluate_formula
 from desarrange.rungraph import (
-    Edge, HypothesisViolationError, PartSet, RunGraphSpec, SpecFormatError,
-    WeightCase, builtin_spec, composition_weight, oracle_weight_sum,
+    AdmissibilityReport, Edge, HypothesisViolationError, PartSet, RunGraphSpec,
+    SpecFormatError, WeightCase, builtin_spec, composition_weight, oracle_weight_sum,
     run_theorem_egf, spec_from_json, spec_to_json, validate_unique_admissibility,
 )
 from desarrange.series import cosh_even
 
-from reference_tables import DERANGEMENT_NUMBERS
+from reference_tables import DERANGEMENT_NUMBERS, derangement_numbers
 
 
 def unit_case(progressions=(), extras=()):
@@ -81,6 +83,67 @@ def test_validate_unique_admissibility():
     assert comp == (1, 1) and (i, j) == (1, 2)
 
 
+def _compositions_of(total: int):
+    """Compositions of total, largest first part first, then largest second part..."""
+    if total == 0:
+        yield ()
+        return
+    for cuts in itertools.product((0, 1), repeat=total - 1):
+        parts = []
+        run = 1
+        for c in cuts:
+            if c:
+                parts.append(run)
+                run = 1
+            else:
+                run += 1
+        parts.append(run)
+        yield tuple(parts)
+
+
+def exhaustive_admissibility(spec, max_size):
+    """Reference check: every composition of every size <= max_size from every start."""
+    for total in range(1, max_size + 1):
+        for comp in _compositions_of(total):
+            for i in range(1, spec.dim + 1):
+                state = rungraph._weighted_dp(spec, i, comp, Fraction(1), Fraction(1))
+                for j, (cnt, _) in state.items():
+                    if cnt > 1:
+                        return AdmissibilityReport(False, max_size, (comp, i, j))
+    return AdmissibilityReport(True, max_size, None)
+
+
+def test_admissibility_matches_exhaustive_reference():
+    specs = [builtin_spec(name) for name in rungraph.BUILTIN_SPECS]
+    specs += [ambiguous_spec(), double_ascent_spec(), double_descent_spec(),
+              peak_descent_spec()]
+    for spec in specs:
+        for max_size in range(13):
+            assert (validate_unique_admissibility(spec, max_size)
+                    == exhaustive_admissibility(spec, max_size)), (spec.name, max_size)
+
+
+@st.composite
+def random_specs(draw):
+    dim = draw(st.integers(1, 3))
+    edges = []
+    for u in range(1, dim + 1):
+        for v in range(1, dim + 1):
+            if draw(st.booleans()):
+                progressions = draw(st.lists(
+                    st.tuples(st.integers(1, 4), st.integers(1, 3)), max_size=2))
+                extras = draw(st.lists(st.integers(1, 6), max_size=3))
+                edges.append(Edge(u, v, (unit_case(progressions, extras),)))
+    return RunGraphSpec("random", dim, tuple(edges))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(random_specs(), st.integers(0, 10))
+def test_admissibility_matches_exhaustive_on_random_specs(spec, max_size):
+    assert (validate_unique_admissibility(spec, max_size)
+            == exhaustive_admissibility(spec, max_size))
+
+
 def test_hypothesis_violation_raised():
     spec = ambiguous_spec()
     with pytest.raises(HypothesisViolationError):
@@ -103,6 +166,15 @@ def test_run_theorem_worked_example_fig2():
     # t = 1 collapses the weights to 1 and recovers the derangement numbers
     egf = run_theorem_egf(fig2, 1, 2, t=1, order=8) + 1
     assert egf.egf_coeffs() == DERANGEMENT_NUMBERS[:9]
+
+
+def test_run_theorem_high_order():
+    # beyond the order 22 the exhaustive check could reach; the references
+    # are the derangement recurrence and the closed-form descent EGF
+    egf = run_theorem_egf(builtin_spec("fig1"), 1, 3, order=30) + cosh_even(4, 30)
+    assert egf.egf_coeffs() == derangement_numbers(30)
+    egf = run_theorem_egf(builtin_spec("fig2"), 1, 2, t=2, order=24) + 1
+    assert egf == evaluate_formula("des", t=2, order=24)
 
 
 def test_run_theorem_worked_example_fig3():
