@@ -127,7 +127,7 @@ def _load_spec(ref: str) -> rungraph.RunGraphSpec:
 def cmd_runthm(args) -> int:
     try:
         spec = _load_spec(args.spec)
-    except (OSError, json.JSONDecodeError, rungraph.SpecFormatError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, rungraph.SpecFormatError) as exc:
         print(f"error: cannot load spec: {exc}", file=sys.stderr)
         return 2
     try:
@@ -223,11 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tables", help="recompute one of the seven reference tables")
     p.add_argument("which", type=int, choices=range(1, 8))
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--n-max", type=int, default=9)
+    p.add_argument("--n-max", type=_non_negative_int, default=9)
     p.set_defaults(fn=cmd_tables)
 
     p = sub.add_parser("verify", help="run the verification harness")
-    p.add_argument("--n-max", type=int, default=9)
+    p.add_argument("--n-max", type=_non_negative_int, default=9)
     p.add_argument("--only", default=None, help=f"one of {sorted(verify.CHECKS)}")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_verify)
@@ -248,11 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("seq", help="print a sequence as comma-separated values")
     p.add_argument("id", help=f"{'|'.join(patterns.SEQUENCE_IDS)} or d(<patterns>)")
-    p.add_argument("n_max", type=int)
+    p.add_argument("n_max", type=_non_negative_int)
     p.set_defaults(fn=cmd_seq)
 
     p = sub.add_parser("conjecture", help="equidistribution evidence report")
-    p.add_argument("--n-max", type=int, default=8)
+    p.add_argument("--n-max", type=_non_negative_int, default=8)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_conjecture)
     return parser

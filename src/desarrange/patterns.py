@@ -8,24 +8,17 @@ canonical listing order is 123, 132, 213, 231, 312, 321.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from . import perms
 from .perms import (
-    Perm, contains_pattern, enumerate_class, is_desarrangement, standardize,
-    triple_pattern,
+    CENSUS_MAX, PATTERNS, Perm, avoiders, census, class_predicate, contains_pattern,
+    enumerate_class, is_desarrangement, pattern_mask, pix, standardize,
 )
 
-PATTERNS: tuple[Perm, ...] = (
-    (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1),
-)
 P123, P132, P213, P231, P312, P321 = PATTERNS
-
-_HISTOGRAM_MAX = 9  # above this, counting falls back to streaming enumeration
 
 
 class DomainError(ValueError):
@@ -54,10 +47,6 @@ def patterns_label(patterns) -> str:
     return ",".join(pattern_name(s) for s in sorted(patterns))
 
 
-def pattern_mask(patterns) -> int:
-    return sum(1 << PATTERNS.index(s) for s in patterns)
-
-
 def all_pattern_sets():
     """All 64 subsets, ordered by size then canonical pattern order."""
     for r in range(7):
@@ -74,46 +63,21 @@ def avoids(p, patterns) -> bool:
     return all(not contains_pattern(p, sigma) for sigma in patterns)
 
 
-def contains_mask(p) -> int:
-    """Bitmask over PATTERNS of which patterns occur in p."""
-    n = len(p)
-    mask = 0
-    idx = PATTERNS.index
-    for i in range(n - 2):
-        a = p[i]
-        for j in range(i + 1, n - 1):
-            b = p[j]
-            for k in range(j + 1, n):
-                mask |= 1 << idx(triple_pattern(a, b, p[k]))
-                if mask == 63:
-                    return 63
-    return mask
-
-
-@functools.lru_cache(maxsize=None)
-def _mask_histogram(n: int, klass: str) -> dict[int, int]:
-    counts = Counter()
-    for p in enumerate_class(n, klass):
-        counts[contains_mask(p)] += 1
-    return dict(counts)
-
-
-@functools.lru_cache(maxsize=None)
-def _report_histogram(n: int) -> dict[tuple[int, bool, int, int], int]:
-    """Counter over S_n keyed (containment mask, is desarrangement, fix, pix)."""
-    counts = Counter()
-    for p in enumerate_class(n, "all"):
-        counts[(contains_mask(p), is_desarrangement(p), perms.fix(p), perms.pix(p))] += 1
-    return dict(counts)
-
-
 def count_class(n: int, patterns, klass: str = "desarrangements") -> int:
-    """Brute-force size of the avoidance class within the given permutation class."""
+    """Brute-force size of the avoidance class within the given permutation class.
+
+    Up to CENSUS_MAX this sums the census of S_n; above it, a nonempty
+    pattern set generates its avoiders and the empty set streams the class.
+    """
     patterns = frozenset(patterns)
-    if n <= _HISTOGRAM_MAX:
-        mset = pattern_mask(patterns)
-        return sum(c for m, c in _mask_histogram(n, klass).items() if m & mset == 0)
-    return sum(1 for p in enumerate_class(n, klass) if avoids(p, patterns))
+    forbid = pattern_mask(patterns)
+    if n <= CENSUS_MAX:
+        member = class_predicate(klass)
+        return sum(count for (mask, _, _), (count, p) in census(n).items()
+                   if not mask & forbid and member(p))
+    if forbid:
+        return len(avoiders(n, patterns, klass))
+    return sum(1 for _ in enumerate_class(n, klass))
 
 
 # --- classical sequences (indexing pinned to the tables in use) ---
@@ -535,7 +499,11 @@ def equidistribution_report(n_max: int = 8) -> EquidistributionReport:
     only: agreement up to n_max proves nothing beyond it.
     """
     report = EquidistributionReport(n_max=n_max)
-    hists = {n: _report_histogram(n) for n in range(n_max + 1)}
+    # desarrangement membership and pix depend only on the descent set, so
+    # the census member of a key speaks for all of its permutations
+    hists = {n: [(mask, is_desarrangement(p), fx, pix(p), count)
+                 for (mask, _, fx), (count, p) in census(n).items()]
+             for n in range(n_max + 1)}
     for size in (1, 2, 3):
         for combo in itertools.combinations(PATTERNS, size):
             pats = frozenset(combo)
@@ -546,7 +514,7 @@ def equidistribution_report(n_max: int = 8) -> EquidistributionReport:
                 d = dtil = 0
                 fix_dist = Counter()
                 pix_dist = Counter()
-                for (m, isdes, fx, px), c in hists[n].items():
+                for m, isdes, fx, px, c in hists[n]:
                     if m & mset:
                         continue
                     if isdes:

@@ -12,16 +12,16 @@ whose first ascent is even) depends on this convention.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
+from types import MappingProxyType
 
 Perm = tuple[int, ...]
 
 DEFAULT_ENUMERATION_CAP = 11
 CAP_ENV_VAR = "DESARRANGE_CAP"
-
-CLASSES = ("all", "desarrangements", "derangements")
 
 
 class CapExceededError(Exception):
@@ -262,6 +262,26 @@ STAT_FUNCTIONS = {
     "ddes": ddes, "rval": rval, "fix": fix, "pix": pix,
 }
 
+_CLASS_TESTS = {
+    "all": lambda p: True,
+    "desarrangements": is_desarrangement,
+    "derangements": is_derangement,
+}
+CLASSES = tuple(_CLASS_TESTS)
+
+
+def _check_cap(n: int, cap: int | None = None):
+    limit = cap if cap is not None else enumeration_cap()
+    if n > limit:
+        raise CapExceededError(f"n={n} exceeds enumeration cap {limit}")
+
+
+def class_predicate(klass: str):
+    """Membership test of one of the CLASSES, as a function of a permutation."""
+    if klass not in CLASSES:
+        raise ValueError(f"unknown class {klass!r}; expected one of {CLASSES}")
+    return _CLASS_TESTS[klass]
+
 
 def enumerate_class(n: int, klass: str = "all", cap: int | None = None):
     """Yield the permutations of 1..n in the given class, in lexicographic order.
@@ -270,29 +290,33 @@ def enumerate_class(n: int, klass: str = "all", cap: int | None = None):
     the enumeration cap (default 11, override via the cap argument or the
     DESARRANGE_CAP environment variable) raise CapExceededError.
     """
-    if klass not in CLASSES:
-        raise ValueError(f"unknown class {klass!r}; expected one of {CLASSES}")
-    limit = cap if cap is not None else enumeration_cap()
-    if n > limit:
-        raise CapExceededError(f"n={n} exceeds enumeration cap {limit}")
+    member = class_predicate(klass)
+    _check_cap(n, cap)
     perms = itertools.permutations(range(1, n + 1))
-    if klass == "all":
-        yield from perms
-    elif klass == "desarrangements":
-        for p in perms:
-            if is_desarrangement(p):
-                yield p
-    else:
-        for p in perms:
-            if is_derangement(p):
-                yield p
+    yield from perms if klass == "all" else filter(member, perms)
 
 
 # --- pattern primitives (length-3 patterns only) ---
 
-_TRIPLE_PATTERNS = {}
-for _t in itertools.permutations((1, 2, 3)):
-    _TRIPLE_PATTERNS[_t] = _t
+# The six length-3 patterns in lexicographic (canonical) order; bit k of a
+# pattern mask stands for PATTERNS[k].
+PATTERNS: tuple[Perm, ...] = tuple(itertools.permutations((1, 2, 3)))
+_PATTERN_SET = frozenset(PATTERNS)
+
+
+def pattern_mask(patterns) -> int:
+    """Bitmask over PATTERNS of a set of length-3 patterns.
+
+    >>> pattern_mask({(1, 2, 3), (3, 2, 1)})
+    33
+    """
+    mask = 0
+    for sigma in patterns:
+        sigma = tuple(sigma)
+        if sigma not in _PATTERN_SET:
+            raise ValueError(f"not a length-3 pattern: {sigma}")
+        mask |= 1 << PATTERNS.index(sigma)
+    return mask
 
 
 def triple_pattern(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -307,7 +331,7 @@ def triple_pattern(a: int, b: int, c: int) -> tuple[int, int, int]:
 def contains_pattern(p, sigma) -> bool:
     """True iff some subsequence of p standardizes to the length-3 pattern sigma."""
     sigma = tuple(sigma)
-    if sigma not in _TRIPLE_PATTERNS:
+    if sigma not in _PATTERN_SET:
         raise ValueError(f"not a length-3 pattern: {sigma}")
     n = len(p)
     for i in range(n - 2):
@@ -316,6 +340,134 @@ def contains_pattern(p, sigma) -> bool:
                 if triple_pattern(p[i], p[j], p[k]) == sigma:
                     return True
     return False
+
+
+# --- prefix walker: the S_n census and generated avoiders ---
+
+CENSUS_MAX = 9  # consumers read the census up to this length and stream above it
+
+
+def _walk(n: int, forbid: int, klass: str, leaf):
+    """Call leaf(prefix, mask, descent word, fix) on the class, in lexicographic order.
+
+    The walk appends the unused values in increasing order.  Beside the
+    pattern mask of the prefix it carries, for each length-3 pattern, the
+    bitmask over values of the letters whose appending would complete that
+    pattern, so the new mask costs O(1) per appended letter.  With U the
+    used values and c the appended letter: some u in U below c makes 123
+    complete on (c, n], 132 on (min U, c) and 231 on [1, max(U below c));
+    some u in U above c makes 321 complete on [1, c), 312 on (c, max U) and
+    213 on (min(U above c), n].
+
+    Prefixes that complete a pattern in the forbid mask, or that can no
+    longer end in the class, are pruned, so the work grows with the number
+    of permutations reached rather than with n!.
+    """
+    full = (1 << (n + 1)) - 2  # bits 1..n, one per value
+    derange = klass == "derangements"
+    desarr = klass == "desarrangements"
+    prefix = []
+
+    def step(k, used, lo, hi, last, mask, dw, fx, down, e123, e132, e213, e231, e312, e321):
+        # k letters placed, lo/hi their min/max; down: no ascent yet
+        pos = k + 1
+        free = full & ~used
+        while free:
+            bit = free & -free
+            free ^= bit
+            c = bit.bit_length() - 1
+            m = mask
+            if e123 & bit:
+                m |= 1
+            if e132 & bit:
+                m |= 2
+            if e213 & bit:
+                m |= 4
+            if e231 & bit:
+                m |= 8
+            if e312 & bit:
+                m |= 16
+            if e321 & bit:
+                m |= 32
+            if m & forbid or (derange and c == pos):
+                continue
+            d = down
+            if down and last < c and k:  # the first ascent is at position k
+                if desarr and k % 2:
+                    continue
+                d = False
+            if pos == n:  # the last letter: no pattern can grow further
+                if not (desarr and d and n % 2):
+                    prefix.append(c)
+                    leaf(prefix, m, dw << 1 | (c < last), fx + (c == pos))
+                    prefix.pop()
+                continue
+            f123, f132, f213, f231, f312, f321 = e123, e132, e213, e231, e312, e321
+            if lo < c:
+                f123 |= full & -(bit << 1)
+                f132 |= bit - (2 << lo)
+                f231 |= (1 << ((used & (bit - 1)).bit_length() - 1)) - 2
+            if hi > c:
+                f321 |= bit - 2
+                f312 |= (1 << hi) - (bit << 1)
+                above = used & -(bit << 1)
+                f213 |= full & -((above & -above) << 1)
+            prefix.append(c)
+            step(pos, used | bit, lo if lo < c else c, hi if hi > c else c, c, m,
+                 dw << 1 | (c < last), fx + (c == pos), d,
+                 f123, f132, f213, f231, f312, f321)
+            prefix.pop()
+
+    if n == 0:
+        leaf(prefix, 0, 0, 0)
+    else:
+        step(0, 0, n + 1, 0, 0, 0, 0, 0, True, 0, 0, 0, 0, 0, 0)
+
+
+def census(n: int):
+    """Counter over S_n keyed (pattern mask, descent word, fix).
+
+    Each key maps to (count, first member in lexicographic order).  The
+    descent word is the int whose binary digits, most significant first,
+    flag the descents at positions 1..n-1.  Every statistic in
+    STAT_FUNCTIONS other than fix, and desarrangement membership, depends
+    only on the descent set, so evaluating them on the stored member gives
+    their value on every permutation of the key.  Built on first use and
+    cached; lengths above the enumeration cap raise CapExceededError.
+    """
+    _check_cap(n)
+    return _census(n)
+
+
+@functools.lru_cache(maxsize=None)
+def _census(n: int):
+    out = {}
+
+    def leaf(prefix, mask, dw, fx):
+        key = (mask, dw, fx)
+        entry = out.get(key)
+        if entry is None:
+            out[key] = [1, tuple(prefix)]
+        else:
+            entry[0] += 1
+
+    _walk(n, 0, "all", leaf)
+    return MappingProxyType({key: (count, p) for key, (count, p) in out.items()})
+
+
+def avoiders(n: int, patterns, klass: str = "all") -> list[Perm]:
+    """The members of the class that avoid every given length-3 pattern, in
+    lexicographic order, built by extending prefixes (Simion-Schmidt).
+
+    >>> avoiders(4, {(1, 2, 3), (1, 3, 2)}, "desarrangements")
+    [(3, 2, 4, 1), (4, 2, 3, 1), (4, 3, 2, 1)]
+    """
+    forbid = pattern_mask(patterns)
+    class_predicate(klass)  # rejects an unknown class
+    _check_cap(n)
+    out = []
+    _walk(n, forbid, klass, lambda prefix, *_: out.append(tuple(prefix)))
+    return out
 
 
 # --- serialization ---

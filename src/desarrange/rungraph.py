@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .perms import descent_composition, enumerate_class
+from .perms import census, descent_composition
 from .series import SeriesMatrix, TruncSeries, hat_transform
 
 BUILTIN_SPECS = ("fig1", "fig2", "fig3")
@@ -340,8 +340,8 @@ def run_theorem_egf(spec: RunGraphSpec, i: int, j: int, t=1, s=1,
 def descent_composition_counts(n: int) -> dict[tuple[int, ...], int]:
     """How many permutations of 1..n have each descent composition."""
     counts = Counter()
-    for p in enumerate_class(n, "all"):
-        counts[descent_composition(p)] += 1
+    for count, p in census(n).values():  # the descent word is part of the key
+        counts[descent_composition(p)] += count
     return dict(counts)
 
 
@@ -387,21 +387,52 @@ def spec_to_json(spec: RunGraphSpec) -> dict:
     }
 
 
-def spec_from_json(data: dict) -> RunGraphSpec:
-    try:
-        edges = []
-        for ed in data["edges"]:
-            cases = []
-            for c in ed["cases"]:
-                guard = PartSet.make(c["parts"].get("progressions", ()),
-                                     c["parts"].get("extras", ()))
-                cases.append(WeightCase(guard,
-                                        tuple(int(x) for x in c["t_exp"]),
-                                        tuple(int(x) for x in c["s_exp"])))
-            edges.append(Edge(int(ed["from"]), int(ed["to"]), tuple(cases)))
-        return RunGraphSpec(str(data["name"]), int(data["dim"]), tuple(edges))
-    except (KeyError, TypeError) as exc:
-        raise SpecFormatError(f"malformed spec JSON: {exc}") from exc
+_JSON_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
+
+
+def _expect(value, kind, what: str):
+    """value itself, once it is known to be a JSON value of the given kind."""
+    if not isinstance(value, kind) or isinstance(value, bool):  # JSON true is no integer
+        raise SpecFormatError(f"malformed spec JSON: {what} must be {_JSON_KINDS[kind]}, "
+                              f"got {value!r}")
+    return value
+
+
+def _member(obj: dict, key: str, kind, where: str):
+    if key not in obj:
+        raise SpecFormatError(f"malformed spec JSON: {where} has no {key!r}")
+    return _expect(obj[key], kind, f"{where} {key!r}")
+
+
+def _int_pair(value, what: str) -> tuple[int, int]:
+    pair = _expect(value, list, what)
+    if len(pair) != 2:
+        raise SpecFormatError(f"malformed spec JSON: {what} must have two entries, got {value!r}")
+    return tuple(_expect(x, int, what) for x in pair)
+
+
+def spec_from_json(data) -> RunGraphSpec:
+    """Parse a spec; any shape or type error raises SpecFormatError."""
+    _expect(data, dict, "the spec")
+    edges = []
+    for ed in _member(data, "edges", list, "the spec"):
+        _expect(ed, dict, "an edge")
+        cases = []
+        for c in _member(ed, "cases", list, "an edge"):
+            _expect(c, dict, "a case")
+            parts = _member(c, "parts", dict, "a case")
+            progressions = [_int_pair(pr, "a progression")
+                            for pr in _expect(parts.get("progressions", []), list,
+                                              "'progressions'")]
+            extras = [_expect(k, int, "an extra part")
+                      for k in _expect(parts.get("extras", []), list, "'extras'")]
+            cases.append(WeightCase(PartSet.make(progressions, extras),
+                                    _int_pair(_member(c, "t_exp", list, "a case"), "'t_exp'"),
+                                    _int_pair(_member(c, "s_exp", list, "a case"), "'s_exp'")))
+        edges.append(Edge(_member(ed, "from", int, "an edge"), _member(ed, "to", int, "an edge"),
+                          tuple(cases)))
+    return RunGraphSpec(_member(data, "name", str, "the spec"),
+                        _member(data, "dim", int, "the spec"), tuple(edges))
 
 
 def load_spec(path: str) -> RunGraphSpec:

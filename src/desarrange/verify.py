@@ -8,13 +8,12 @@ family in isolation.
 """
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import formulas, oracle, patterns, rungraph
-from .perms import enumerate_class, first_ascent, is_desarrangement, perm_to_str
+from .perms import avoiders, enumerate_class, first_ascent, is_desarrangement, perm_to_str
 from .series import cosh_even
 
 # Known desarrangement listings of length <= 5, frozen for the membership
@@ -45,6 +44,16 @@ class VerificationReport:
     subject: str
     n_range: tuple[int, int]
     verdicts: dict[int, str] = field(default_factory=dict)
+    n_requested: int | None = None  # the n_max asked for; defaults to the range's top
+
+    def __post_init__(self):
+        if self.n_requested is None:
+            self.n_requested = self.n_range[1]
+
+    @property
+    def clamped(self) -> bool:
+        """True when the check's own size limit cut the requested range."""
+        return self.n_requested > self.n_range[1]
 
     def record(self, n: int, ok: bool, details: str = ""):
         if ok:
@@ -61,13 +70,15 @@ class VerificationReport:
     def to_json(self) -> dict:
         return {"subject": self.subject,
                 "n_range": list(self.n_range),
+                "n_requested": self.n_requested,
+                "clamped": self.clamped,
                 "verdicts": {str(n): v for n, v in sorted(self.verdicts.items())}}
 
 
 def check_table1(n_max: int) -> VerificationReport:
     """Recomputed desarrangement listings equal the known length <= 5 tables."""
     top = min(n_max, 5)
-    rep = VerificationReport("table1-membership", (0, top))
+    rep = VerificationReport("table1-membership", (0, top), n_requested=n_max)
     for n in range(top + 1):
         got = [perm_to_str(p) for p in enumerate_class(n, "desarrangements")]
         rep.record(n, got == KNOWN_DESARRANGEMENTS[n],
@@ -78,7 +89,7 @@ def check_table1(n_max: int) -> VerificationReport:
 def check_statistic_tables(n_max: int) -> VerificationReport:
     """Interpolated distribution rows against brute-force counts over D_n."""
     top = min(n_max, 9)
-    rep = VerificationReport("statistic-tables", (0, top))
+    rep = VerificationReport("statistic-tables", (0, top), n_requested=n_max)
     stats = ["des", "pk", "val", "dasc", "ddes", "rval"]
     tables = {s: formulas.distribution_polynomials(s, top).rows
               for s in ("des", "pk", "val", "dasc", "ddes")}
@@ -97,7 +108,7 @@ def check_statistic_tables(n_max: int) -> VerificationReport:
 def check_run_theorem(n_max: int) -> VerificationReport:
     """Built-in graph specs against enumeration and the closed forms."""
     top = min(n_max, 9)
-    rep = VerificationReport("run-theorem", (0, top))
+    rep = VerificationReport("run-theorem", (0, top), n_requested=n_max)
     order = top
     fig1 = rungraph.builtin_spec("fig1")
     fig2 = rungraph.builtin_spec("fig2")
@@ -143,7 +154,7 @@ def check_run_theorem(n_max: int) -> VerificationReport:
 def check_pattern_counts(n_max: int) -> VerificationReport:
     """closed_form_count equals the brute-force count for all 64 subsets."""
     top = min(n_max, 9)
-    rep = VerificationReport("pattern-counts", (0, top))
+    rep = VerificationReport("pattern-counts", (0, top), n_requested=n_max)
     for n in range(top + 1):
         for pats in patterns.all_pattern_sets():
             brute = patterns.count_class(n, pats, "desarrangements")
@@ -154,37 +165,25 @@ def check_pattern_counts(n_max: int) -> VerificationReport:
     return rep
 
 
+# (pattern, fact every desarrangement avoiding it satisfies, failure note)
+_LEMMA_FACTS = (
+    (patterns.P213, lambda p: p[0] == len(p), "lacks leading n"),
+    (patterns.P231, lambda p: p[first_ascent(p) - 1] == 1, "1 not at first ascent"),
+    (patterns.P312, lambda p: p[0] == p[1] + 1, "p1 != p2+1"),
+    (patterns.P321, lambda p: p[1] == 1, "p2 != 1"),
+)
+
+
 def check_lemma_facts(n_max: int) -> VerificationReport:
     """Structural facts about single-pattern desarrangement avoiders."""
     top = min(n_max, 9)
-    rep = VerificationReport("lemma-structure", (2, top))
+    rep = VerificationReport("lemma-structure", (2, top), n_requested=n_max)
     for n in range(2, top + 1):
-        for p in enumerate_class(n, "desarrangements"):
-            if patterns.avoids(p, {patterns.P213}):
-                rep.record(n, p[0] == n, f"213-avoider {p} lacks leading n")
-            if patterns.avoids(p, {patterns.P231}):
-                rep.record(n, p[first_ascent(p) - 1] == 1,
-                           f"231-avoider {p}: 1 not at first ascent")
-            if patterns.avoids(p, {patterns.P312}):
-                rep.record(n, p[0] == p[1] + 1, f"312-avoider {p}: p1 != p2+1")
-            if patterns.avoids(p, {patterns.P321}):
-                rep.record(n, p[1] == 1, f"321-avoider {p}: p2 != 1")
+        for sigma, fact, note in _LEMMA_FACTS:
+            for p in avoiders(n, {sigma}, "desarrangements"):
+                rep.record(n, fact(p), f"{patterns.pattern_name(sigma)}-avoider {p}: {note}")
         rep.record(n, True)  # n with no avoiders at all still gets a verdict
     return rep
-
-
-@functools.lru_cache(maxsize=None)
-def _masked_members(n: int) -> tuple:
-    """All of S_n with pattern-containment mask and desarrangement flag."""
-    return tuple((p, patterns.contains_mask(p), is_desarrangement(p))
-                 for p in enumerate_class(n, "all"))
-
-
-def _avoiders(n: int, pats, klass: str = "all"):
-    mset = patterns.pattern_mask(pats)
-    want_des = klass == "desarrangements"
-    return [p for p, m, isdes in _masked_members(n)
-            if m & mset == 0 and (isdes or not want_des)]
 
 
 def _in_class(q, pats, klass: str = "all") -> bool:
@@ -204,7 +203,7 @@ def _roundtrip_ok(name: str, n: int) -> tuple[bool, str]:
     if name == "321_insert":
         if n == 0:
             return True, ""
-        domain = _avoiders(n, {patterns.P321})
+        domain = avoiders(n, {patterns.P321})
         images = set()
         for p in domain:
             q = b.forward(p)
@@ -217,7 +216,7 @@ def _roundtrip_ok(name: str, n: int) -> tuple[bool, str]:
         return len(images) == len(domain) == want, "image misses part of the target class"
     if name in ("213_prepend", "312_prepend"):
         sigma = patterns.P213 if name == "213_prepend" else patterns.P312
-        domain = _avoiders(n, {sigma})
+        domain = avoiders(n, {sigma})
         n_des = 0
         long_images = set()
         for p in domain:
@@ -240,7 +239,7 @@ def _roundtrip_ok(name: str, n: int) -> tuple[bool, str]:
                 else {patterns.P231, patterns.P321})
         if n < 2:
             return True, ""
-        for p in _avoiders(n, pats):
+        for p in avoiders(n, pats):
             q = b.forward(p)
             if not patterns.avoids(q, pats):
                 return False, f"image {q} left the class"
@@ -253,7 +252,7 @@ def _roundtrip_ok(name: str, n: int) -> tuple[bool, str]:
         pats = {patterns.P312, patterns.P321}
         if n < 2:
             return True, ""
-        domain = _avoiders(n, pats, "desarrangements")
+        domain = avoiders(n, pats, "desarrangements")
         images = set()
         for p in domain:
             q = b.forward(p)
@@ -270,7 +269,7 @@ def _roundtrip_ok(name: str, n: int) -> tuple[bool, str]:
             else {patterns.P231, patterns.P312, patterns.P321})
     if n < 3:
         return True, ""
-    domain = _avoiders(n, pats, "desarrangements")
+    domain = avoiders(n, pats, "desarrangements")
     short_images, long_images = set(), set()
     for p in domain:
         q = b.forward(p)
@@ -289,7 +288,7 @@ def _roundtrip_ok(name: str, n: int) -> tuple[bool, str]:
 def check_bijections(n_max: int) -> VerificationReport:
     """Round-trips, displayed images, and the class cardinalities they prove."""
     top = min(n_max, 8)
-    rep = VerificationReport("bijections", (0, top))
+    rep = VerificationReport("bijections", (0, top), n_requested=n_max)
     displayed = [
         ("321_insert", "forward", (4, 5, 1, 2, 3), (5, 1, 6, 2, 3, 4)),
         ("312_prepend", "forward", (3, 4, 2, 5, 6, 1), (4, 3, 5, 2, 6, 7, 1)),
@@ -307,7 +306,7 @@ def check_bijections(n_max: int) -> VerificationReport:
         # Simion-Schmidt restricted to desarrangements
         images = set()
         des_images = set()
-        for p in _avoiders(n, {patterns.P123}):
+        for p in avoiders(n, {patterns.P123}):
             q = patterns.simion_schmidt(p)
             if patterns.simion_schmidt_inverse(q) != p:
                 rep.record(n, False, f"simion_schmidt round-trip failed at {p}")
@@ -336,7 +335,7 @@ def check_bijections(n_max: int) -> VerificationReport:
 def check_specializations(n_max: int) -> VerificationReport:
     """Formula-level identities plus their brute-force shadows."""
     top = min(n_max, 8)
-    rep = VerificationReport("specializations", (0, top))
+    rep = VerificationReport("specializations", (0, top), n_requested=n_max)
     for res in formulas.specialization_checks(top):
         rep.record(top, res.ok, f"{res.name}: {res.details}")
     pixdes = formulas.distribution_polynomials("joint_pix_des", top).rows
@@ -370,7 +369,7 @@ def check_equidistribution(n_max: int) -> VerificationReport:
     """
     top = min(n_max, 8)
     conclusive = top >= EQUIDISTRIBUTION_RESOLVED_AT
-    rep = VerificationReport("equidistribution", (0, top))
+    rep = VerificationReport("equidistribution", (0, top), n_requested=n_max)
     report = patterns.equidistribution_report(top)
     for e in report.entries:
         if conclusive:

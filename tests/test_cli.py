@@ -133,6 +133,34 @@ def test_usage_errors_exit_2(capsys):
             cli.main(["runthm", "fig2", "-i", "1", "-j", "2", *bad])
         assert exc.value.code == 2
         assert capsys.readouterr().err.count("error:") == 1
+    for argv in (["tables", "2", "--n-max", "-1"], ["verify", "--n-max", "-1"],
+                 ["conjecture", "--n-max", "-2"], ["seq", "fine", "-3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("error:") == 1 and captured.out == ""
+
+
+def _fig2_json():
+    path = pathlib.Path(__file__).resolve().parent.parent / "specs" / "fig2.json"
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("breakage", ["dim_not_int", "parts_is_list", "not_utf8"])
+def test_malformed_spec_is_a_usage_error(capsys, tmp_path, breakage):
+    data = _fig2_json()
+    if breakage == "dim_not_int":
+        data["dim"] = "two"
+    elif breakage == "parts_is_list":
+        data["edges"][0]["cases"][0]["parts"] = [[1, 1]]
+    path = tmp_path / "broken.json"
+    path.write_bytes(b"\xff" if breakage == "not_utf8" else json.dumps(data).encode())
+    code = cli.main(["runthm", str(path), "-i", "1", "-j", "2", "--order", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.count("error:") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_cap_override(capsys, monkeypatch):

@@ -62,3 +62,34 @@ def test_oracle_imports_only_perm_core():
             modules.add(node.module or "")
     allowed = {"collections", "perms", "__future__"}
     assert modules <= allowed, modules
+
+
+def direct_distribution(n, stats, klass, restrict=()):
+    """One pass over the class, every statistic evaluated on every permutation."""
+    from collections import Counter
+
+    from desarrange.perms import STAT_FUNCTIONS, contains_pattern, enumerate_class
+    counts = Counter()
+    for p in enumerate_class(n, klass):
+        if any(contains_pattern(p, sigma) for sigma in restrict):
+            continue
+        values = tuple(STAT_FUNCTIONS[s](p) for s in stats)
+        counts[values[0] if len(stats) == 1 else values] += 1
+    return dict(counts)
+
+
+def test_census_distribution_matches_direct_loop():
+    # the census path evaluates statistics once per (mask, descent word, fix)
+    # key; this guards the claim that nothing else matters
+    from desarrange.perms import CLASSES, STAT_FUNCTIONS
+    stat_lists = [[name] for name in STAT_FUNCTIONS] + [["pk", "des"]]
+    for n in range(8):
+        for klass in CLASSES:
+            for stats in stat_lists:
+                assert oracle.distribution(n, stats, klass) == \
+                    direct_distribution(n, stats, klass), (n, klass, stats)
+            for restrict in ({(3, 2, 1)}, {(1, 3, 2), (2, 1, 3)}):
+                for stats in (["pk", "des"], ["fix"], ["pix"]):
+                    assert oracle.distribution(n, stats, klass, restrict=restrict) == \
+                        direct_distribution(n, stats, klass, restrict), \
+                        (n, klass, stats, restrict)

@@ -41,13 +41,20 @@ def test_count_class_examples():
 
 
 def test_count_class_matches_direct_loop():
-    # the histogram shortcut equals the naive filter
+    # the census sum equals the naive filter
     for n in range(7):
         for pats in [frozenset(), parse_patterns("321"), parse_patterns("123,231"),
                      parse_patterns("132,213,321")]:
             for klass in ("all", "desarrangements", "derangements"):
                 direct = sum(1 for p in enumerate_class(n, klass) if avoids(p, pats))
                 assert count_class(n, pats, klass) == direct
+
+
+def test_count_class_above_census_range():
+    # above the census, nonempty sets are counted from their generated avoiders
+    for label in ("321", "213", "123,132", "132,231", "123,132,213", "231,312,321"):
+        pats = parse_patterns(label)
+        assert count_class(10, pats) == closed_form_count(10, pats), label
 
 
 def test_count_class_cap(monkeypatch):

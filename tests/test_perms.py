@@ -157,3 +157,77 @@ def test_first_ascent_range():
     for n in range(1, 8):
         for p in all_perms(n):
             assert 1 <= first_ascent(p) <= n
+
+
+# --- the census and the generated avoiders, against per-permutation references ---
+
+def contains_mask(p):
+    """Bitmask over perms.PATTERNS of the patterns occurring in p, by testing
+    every triple of positions (the O(n^3) differential reference)."""
+    mask = 0
+    for i, j, k in itertools.combinations(range(len(p)), 3):
+        mask |= 1 << perms.PATTERNS.index(perms.triple_pattern(p[i], p[j], p[k]))
+    return mask
+
+
+def descent_word(p):
+    word = 0
+    for a, b in zip(p, p[1:]):
+        word = word << 1 | (a > b)
+    return word
+
+
+def test_contains_mask_reference_agrees_with_contains_pattern():
+    for n in range(7):
+        for p in all_perms(n):
+            mask = contains_mask(p)
+            for k, sigma in enumerate(perms.PATTERNS):
+                assert bool(mask >> k & 1) == perms.contains_pattern(p, sigma), (p, sigma)
+
+
+def test_census_matches_per_permutation_counter():
+    from collections import Counter
+    for n in range(8):
+        counts, first = Counter(), {}
+        for p in enumerate_class(n):
+            key = (contains_mask(p), descent_word(p), perms.fix(p))
+            counts[key] += 1
+            first.setdefault(key, p)
+        assert dict(perms.census(n)) == {key: (c, first[key]) for key, c in counts.items()}, n
+
+
+def test_census_cap(monkeypatch):
+    monkeypatch.delenv(perms.CAP_ENV_VAR, raising=False)
+    with pytest.raises(CapExceededError):
+        perms.census(12)
+    with pytest.raises(CapExceededError):
+        perms.avoiders(12, {(3, 2, 1)})
+    monkeypatch.setenv(perms.CAP_ENV_VAR, "3")
+    with pytest.raises(CapExceededError):
+        perms.census(4)
+    with pytest.raises(CapExceededError):
+        perms.avoiders(4, {(3, 2, 1)})
+    assert sum(c for c, _ in perms.census(3).values()) == 6
+
+
+def test_avoiders_match_filtered_enumeration():
+    # all 64 pattern sets, each class, in enumeration order
+    for n in range(8):
+        masks = {p: contains_mask(p) for p in enumerate_class(n)}
+        for r in range(7):
+            for pats in itertools.combinations(perms.PATTERNS, r):
+                forbid = perms.pattern_mask(pats)
+                for klass in perms.CLASSES:
+                    want = [p for p in enumerate_class(n, klass) if not masks[p] & forbid]
+                    assert perms.avoiders(n, pats, klass) == want, (n, pats, klass)
+
+
+def test_avoiders_and_pattern_mask_reject_bad_input():
+    assert perms.pattern_mask([]) == 0
+    assert perms.pattern_mask([(3, 2, 1)]) == 32
+    with pytest.raises(ValueError):
+        perms.pattern_mask([(1, 2)])
+    with pytest.raises(ValueError):
+        perms.avoiders(3, [(1, 2, 4)])
+    with pytest.raises(ValueError):
+        perms.avoiders(3, [], "involutions")

@@ -318,6 +318,51 @@ def test_json_round_trip(tmp_path):
         spec_from_json({"name": "x", "dim": 2})
 
 
+_SPEC_KEYS = ("name", "dim", "edges", "from", "to", "cases", "parts", "progressions",
+              "extras", "t_exp", "s_exp")
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.text(max_size=2),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(_SPEC_KEYS), inner, max_size=5)),
+    max_leaves=12)
+
+
+def _json_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+@st.composite
+def broken_specs(draw):
+    """A builtin spec's JSON with one node replaced by an arbitrary JSON value."""
+    data = spec_to_json(builtin_spec(draw(st.sampled_from(rungraph.BUILTIN_SPECS))))
+    path = draw(st.sampled_from(list(_json_paths(data))))
+    value = draw(_json_values)
+    if not path:
+        return value
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(broken_specs())
+def test_spec_from_json_raises_only_spec_format_error(data):
+    try:
+        spec_from_json(data)
+    except SpecFormatError:
+        pass
+
+
 def test_repo_spec_files_match_builtins():
     import pathlib
     repo_specs = pathlib.Path(__file__).resolve().parent.parent / "specs"

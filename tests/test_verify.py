@@ -19,6 +19,17 @@ def test_verify_only():
         verify.verify_all(5, only="nope")
 
 
+def test_verify_json_says_when_the_range_was_clamped():
+    (rep,) = verify.verify_all(7, only="table1")
+    assert rep.n_range == (0, 5) and rep.n_requested == 7 and rep.clamped
+    data = json.loads(verify.render_json([rep]))["reports"][0]
+    assert data["n_requested"] == 7 and data["clamped"] is True
+    assert verify.render_text([rep]) == "PASS table1-membership (n=0..5)"
+    (rep,) = verify.verify_all(4, only="table1")
+    assert rep.n_requested == 4 and not rep.clamped
+    assert verify.VerificationReport("demo", (2, 0), n_requested=0).clamped is False
+
+
 def test_verify_n_max_zero():
     assert verify.all_ok(verify.verify_all(0))
 
