@@ -5,8 +5,9 @@ them into distribution polynomials.
 Statistic variables are never handled symbolically: a formula is evaluated
 at concrete rational points of t (and s), giving plain rational x-series,
 and the degree-bounded distribution polynomial of each row is recovered by
-exact Lagrange interpolation over one extra point than needed -- the spare
-point doubles as a transcription check.
+exact interpolation by Newton divided differences (O(n^2) rational
+operations for a degree-n row) over one extra point than needed -- the
+spare point doubles as a transcription check.
 
 Every formula that the source material states with a square root
 (sqrt(1-t), or the combined radicals in the double-ascent/descent and
@@ -49,22 +50,6 @@ class PoleError(ValueError):
 class TranscriptionError(AssertionError):
     """Interpolated rows are inconsistent: a formula was copied wrong."""
 
-
-FORMULA_ARITY = {
-    "eulerian": 1,
-    "derangement_egf": 0,
-    "des": 1,
-    "pk": 1,
-    "val": 1,
-    "dasc": 1,
-    "ddes": 1,
-    "joint_pk_des": 2,
-    "joint_pix_des": 2,
-    "catalan_ogf": 0,
-    "fine_ogf": 0,
-    "fine_shifted_ogf": 0,
-    "jacobsthal_shifted_ogf": 0,
-}
 
 # Over which permutation class each statistic row lives (row sums).
 ROW_SUPPORT = {
@@ -197,46 +182,40 @@ def _jacobsthal_shifted_ogf(order: int) -> TruncSeries:
     return _div(poly_series([1, -1, -1], order), poly_series([1, -1, -2], order))
 
 
+# tag -> (number of statistic variables, builder); a builder takes the
+# variables it needs, s before t, then the order
+FORMULAS = {
+    "eulerian": (1, _eulerian),
+    "derangement_egf": (0, _derangement_egf),
+    "des": (1, _des),
+    "pk": (1, _pk),
+    "val": (1, _val),
+    "dasc": (1, _dasc),
+    "ddes": (1, _ddes),
+    "joint_pk_des": (2, _joint_pk_des),
+    "joint_pix_des": (2, _joint_pix_des),
+    "catalan_ogf": (0, _catalan_ogf),
+    "fine_ogf": (0, _fine_ogf),
+    "fine_shifted_ogf": (0, _fine_shifted_ogf),
+    "jacobsthal_shifted_ogf": (0, _jacobsthal_shifted_ogf),
+}
+
+
 def evaluate_formula(tag: str, t=None, s=None, order: int = 8) -> TruncSeries:
     """The named generating function as an x-series to the given order.
 
     Statistic variables are concrete rationals; a specialization sitting on
     a pole of the formula raises PoleError so callers can pick a new point.
     """
-    if tag not in FORMULA_ARITY:
+    if tag not in FORMULAS:
         raise ValueError(f"unknown formula {tag!r}")
-    arity = FORMULA_ARITY[tag]
+    arity, build = FORMULAS[tag]
     if arity >= 1 and t is None:
         raise ValueError(f"{tag} needs a t value")
     if arity == 2 and s is None:
         raise ValueError(f"{tag} needs an s value")
-    t = Fraction(t) if t is not None else None
-    s = Fraction(s) if s is not None else None
-    if tag == "eulerian":
-        return _eulerian(t, order)
-    if tag == "derangement_egf":
-        return _derangement_egf(order)
-    if tag == "des":
-        return _des(t, order)
-    if tag == "pk":
-        return _pk(t, order)
-    if tag == "val":
-        return _val(t, order)
-    if tag == "dasc":
-        return _dasc(t, order)
-    if tag == "ddes":
-        return _ddes(t, order)
-    if tag == "joint_pk_des":
-        return _joint_pk_des(s, t, order)
-    if tag == "joint_pix_des":
-        return _joint_pix_des(s, t, order)
-    if tag == "catalan_ogf":
-        return _catalan_ogf(order)
-    if tag == "fine_ogf":
-        return _fine_ogf(order)
-    if tag == "fine_shifted_ogf":
-        return _fine_shifted_ogf(order)
-    return _jacobsthal_shifted_ogf(order)
+    variables = (s, t)[2 - arity:]
+    return build(*(Fraction(v) for v in variables), order)
 
 
 class BivarPoly:
@@ -334,20 +313,22 @@ def good_t_points(tag: str, count: int, order: int, s=None):
     return out
 
 
-def _interp_row(points, n: int) -> Poly:
+def _interp_row(points, n: int, what: str = "") -> Poly:
+    """Degree-n interpolant whose coefficients must all be counts."""
+    where = f"row {n}, {what}" if what else f"row {n}"
     try:
         poly = interpolate(points, n)
     except InterpolationError as exc:
-        raise TranscriptionError(f"row {n}: {exc}") from exc
+        raise TranscriptionError(f"{where}: {exc}") from exc
     for c in poly.coeffs:
         if c.denominator != 1 or c < 0:
-            raise TranscriptionError(f"row {n}: coefficient {c} not a count")
+            raise TranscriptionError(f"{where}: coefficient {c} not a count")
     return poly
 
 
 def distribution_polynomials(tag: str, n_max: int) -> DistributionTable:
     """Rows 0..n_max of the distribution encoded by the named formula."""
-    arity = FORMULA_ARITY[tag]
+    arity = FORMULAS[tag][0]
     if arity == 0:
         raise ValueError(f"{tag} carries no statistic variable")
     order = n_max + 1
@@ -368,15 +349,11 @@ def distribution_polynomials(tag: str, n_max: int) -> DistributionTable:
         entries = {}
         for j in range(n + 1):  # t-exponent
             s_points = [(sv, poly.coeff(j)) for sv, poly in t_polys]
-            s_poly = interpolate(s_points, n)
+            s_poly = _interp_row(s_points, n, f"t^{j} coefficient in s")
             for i, c in enumerate(s_poly.coeffs):
                 if c:
                     entries[(i, j)] = c
-        bp = BivarPoly(entries)
-        bp.int_entries()  # raises on non-integer coefficients
-        if any(c < 0 for c in bp.entries.values()):
-            raise TranscriptionError(f"row {n}: negative coefficient")
-        rows[n] = bp
+        rows[n] = BivarPoly(entries)
     return DistributionTable(tag, rows)
 
 

@@ -102,34 +102,56 @@ class TruncSeries:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self) -> tuple[list[int], int]:
+        """Integer numerators over one common denominator: coeffs == nums / den."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
+
+    @classmethod
+    def _from_fractions(cls, coeffs: list[Fraction], order: int) -> "TruncSeries":
+        """Wrap order + 1 Fractions without the constructor's checks."""
+        out = cls.__new__(cls)
+        out.order = order
+        out.coeffs = tuple(coeffs)
+        return out
+
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
             f = _as_fraction(other)
             return TruncSeries([c * f for c in self.coeffs], self.order)
         self._check_order(other)
         n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
+        a, da = self._scaled()
+        b, db = other._scaled()
+        out = [0] * (n + 1)
+        for i, ai in enumerate(a):
+            if ai:
                 for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return TruncSeries(out, n)
+                    out[i + j] += ai * b[j]
+        den = da * db
+        return TruncSeries._from_fractions([Fraction(v, den) for v in out], n)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse in the truncated ring."""
-        a = self.coeffs
-        if a[0] == 0:
+        """Multiplicative inverse in the truncated ring.
+
+        With self = A/D on integers, 1/A has coefficients c_m / A_0^(m+1)
+        where c_0 = 1 and c_m = -sum_{k=1..m} A_k c_{m-k} A_0^(k-1), so the
+        recurrence never leaves the integers.
+        """
+        if self.coeffs[0] == 0:
             raise ConstantTermError("series has zero constant term")
         n = self.order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = 1 / a[0]
+        a, d = self._scaled()
+        a0_pow = [1] * (n + 2)  # a0_pow[k] = A_0^k
+        for k in range(1, n + 2):
+            a0_pow[k] = a0_pow[k - 1] * a[0]
+        c = [1] + [0] * n
         for m in range(1, n + 1):
-            out[m] = -sum(a[k] * out[m - k] for k in range(1, m + 1)) / a[0]
-        return TruncSeries(out, n)
+            c[m] = -sum(a[k] * c[m - k] * a0_pow[k - 1] for k in range(1, m + 1) if a[k])
+        return TruncSeries._from_fractions(
+            [Fraction(cm * d, a0_pow[m + 1]) for m, cm in enumerate(c)], n)
 
     def __truediv__(self, other):
         if isinstance(other, TruncSeries):
@@ -384,30 +406,22 @@ def interpolate(points, degree_bound: int) -> Poly:
     if len(pts) < degree_bound + 1:
         raise InterpolationError(
             f"need {degree_bound + 1} points for degree {degree_bound}, got {len(pts)}")
-    base = pts[: degree_bound + 1]
-    coeffs = [Fraction(0)] * (degree_bound + 1)
-    for i, (xi, yi) in enumerate(base):
-        numer = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(base):
-            if i == j:
-                continue
-            numer = _poly_mul(numer, [-xj, Fraction(1)])
-            denom *= xi - xj
-        w = yi / denom
-        for k, c in enumerate(numer):
-            coeffs[k] += w * c
+    base = max(degree_bound + 1, 0)  # a negative bound leaves only the zero polynomial
+    # Newton divided differences: dd[i] becomes f[x_0, ..., x_i]
+    xs = xs[:base]
+    dd = [y for _, y in pts[:base]]
+    for k in range(1, len(dd)):
+        for i in range(len(dd) - 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
+    # nested multiplication: c <- c * (x - x_k) + dd[k], from the top down
+    coeffs = dd[-1:]
+    for k in range(len(dd) - 2, -1, -1):
+        coeffs.insert(0, dd[k] - xs[k] * coeffs[0])
+        for i in range(1, len(coeffs) - 1):
+            coeffs[i] -= xs[k] * coeffs[i + 1]
     result = Poly(coeffs)
-    for x, y in pts[degree_bound + 1:]:
+    for x, y in pts[base:]:
         if result(x) != y:
             raise InterpolationError(
                 f"point ({x}, {y}) inconsistent with degree-{degree_bound} interpolant")
     return result
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out

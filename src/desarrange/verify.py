@@ -404,8 +404,18 @@ def verify_all(n_max: int = 9, only: str | None = None) -> list[VerificationRepo
     if only is not None:
         if only not in CHECKS:
             raise ValueError(f"unknown check {only!r}; have {sorted(CHECKS)}")
-        return [CHECKS[only](n_max)]
-    return [fn(n_max) for fn in CHECKS.values()]
+        return [_run_check(only, n_max)]
+    return [_run_check(name, n_max) for name in CHECKS]
+
+
+def _run_check(name: str, n_max: int) -> VerificationReport:
+    """One registered check; a miscopied formula makes it fail, not crash."""
+    try:
+        return CHECKS[name](n_max)
+    except formulas.TranscriptionError as exc:
+        rep = VerificationReport(name, (0, n_max))
+        rep.record(n_max, False, f"formula transcription: {exc}")
+        return rep
 
 
 def all_ok(reports) -> bool:

@@ -164,3 +164,39 @@ def test_row_sums():
             total = row.total() if isinstance(row, BivarPoly) \
                 else sum(row.coeffs, Fraction(0))
             assert total == want, (tag, n)
+
+
+def test_rows_to_n30():
+    from reference_tables import derangement_numbers
+    d = derangement_numbers(30)
+    for tag in ("des", "pk", "val", "dasc", "ddes"):
+        rows = distribution_polynomials(tag, 30).rows
+        assert [sum(rows[n].coeffs, Fraction(0)) for n in range(31)] == d, tag
+    # Eulerian numbers A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1)
+    rows = distribution_polynomials("eulerian", 30).rows
+    a = [1]  # A(0, 0)
+    for n in range(31):
+        assert rows[n] == Poly(a), n
+        a = [(k + 1) * (a[k] if k < len(a) else 0) + (n + 1 - k) * (a[k - 1] if k else 0)
+             for k in range(n + 1)]
+
+
+# Two miscopied joint pk/des formulas: a stray factor s breaks the
+# interpolation in s, a stray factor 1/t the one in t.
+_MISCOPIED_PK_DES = {
+    "stray_s": lambda s, t, order: formulas._joint_pk_des(s, t, order) * s,
+    "stray_1_over_t": lambda s, t, order: formulas._joint_pk_des(s, t, order) / t,
+}
+
+
+@pytest.mark.parametrize("typo", sorted(_MISCOPIED_PK_DES))
+def test_miscopied_joint_formula_fails_verify(monkeypatch, capsys, typo):
+    from desarrange import cli
+    monkeypatch.setitem(formulas.FORMULAS, "joint_pk_des", (2, _MISCOPIED_PK_DES[typo]))
+    with pytest.raises(formulas.TranscriptionError):
+        distribution_polynomials("joint_pk_des", 5)
+    assert cli.main(["verify", "--only", "specializations", "--n-max", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("FAIL specializations")
+    assert "formula transcription: row 0" in out
+    assert err == ""

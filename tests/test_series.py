@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from desarrange.series import (
     ConstantTermError, InterpolationError, OrderMismatchError, Poly,
@@ -204,3 +205,148 @@ def test_json_round_trips():
     assert TruncSeries.from_json(s.to_json()) == s
     assert s.to_json() == ["1", "-1/2", "3"]
     assert Poly([1, F(1, 3)]).to_json() == ["1", "1/3"]
+
+
+def test_interpolate_degenerate_bounds():
+    assert interpolate([(1, 5)], 0) == Poly([5])
+    assert interpolate([(1, 0), (2, 0)], -1) == Poly([])
+    with pytest.raises(InterpolationError):
+        interpolate([(1, 1)], -1)
+    assert interpolate([(1, 0), (2, 0), (3, 0)], -3) == Poly([])
+    with pytest.raises(InterpolationError):
+        interpolate([(1, 0), (2, 1)], -2)
+
+
+# Reference implementations: the O(n^3) Lagrange interpolation and the
+# Fraction-by-Fraction series product and inverse that the integer kernels
+# replaced.  The differential tests below hold the new code to them.
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def lagrange_interpolate(points, degree_bound):
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    xs = [x for x, _ in pts]
+    if len(set(xs)) != len(xs):
+        raise InterpolationError("duplicate abscissae")
+    if len(pts) < degree_bound + 1:
+        raise InterpolationError("too few points")
+    base = pts[: degree_bound + 1]
+    coeffs = [Fraction(0)] * (degree_bound + 1)
+    for i, (xi, yi) in enumerate(base):
+        numer = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(base):
+            if i == j:
+                continue
+            numer = _poly_mul(numer, [-xj, Fraction(1)])
+            denom *= xi - xj
+        w = yi / denom
+        for k, c in enumerate(numer):
+            coeffs[k] += w * c
+    result = Poly(coeffs)
+    for x, y in pts[degree_bound + 1:]:
+        if result(x) != y:
+            raise InterpolationError("inconsistent spare point")
+    return result
+
+
+def reference_mul(a, b):
+    if a.order != b.order:
+        raise OrderMismatchError("orders differ")
+    n = a.order
+    out = [Fraction(0)] * (n + 1)
+    for i, x in enumerate(a.coeffs):
+        if x:
+            for j in range(n + 1 - i):
+                y = b.coeffs[j]
+                if y:
+                    out[i + j] += x * y
+    return TruncSeries(out, n)
+
+
+def reference_inverse(a):
+    c = a.coeffs
+    if c[0] == 0:
+        raise ConstantTermError("zero constant term")
+    n = a.order
+    out = [Fraction(0)] * (n + 1)
+    out[0] = 1 / c[0]
+    for m in range(1, n + 1):
+        out[m] = -sum(c[k] * out[m - k] for k in range(1, m + 1)) / c[0]
+    return TruncSeries(out, n)
+
+
+def outcome(fn, *args):
+    """The value fn returns, or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+# Large pairwise coprime denominators (primes and a product of two).
+_DENOMINATORS = (1, 2 ** 31 - 1, 10 ** 9 + 7, 998244353, (10 ** 9 + 9) * (2 ** 61 - 1))
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-10 ** 6, 10 ** 6).map(Fraction),
+    st.builds(Fraction, st.integers(-10 ** 15, 10 ** 15), st.sampled_from(_DENOMINATORS)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+)
+nonzero_rationals = rationals.filter(bool)
+
+
+@st.composite
+def series_pairs(draw):
+    order = draw(st.integers(0, 12))
+    other = order if draw(st.integers(0, 3)) else draw(st.integers(0, 12))
+    a = TruncSeries(draw(st.lists(rationals, min_size=order + 1, max_size=order + 1)))
+    b = TruncSeries(draw(st.lists(rationals, min_size=other + 1, max_size=other + 1)))
+    return a, b
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(series_pairs())
+def test_series_kernels_match_fraction_reference(pair):
+    a, b = pair
+    assert outcome(TruncSeries.__mul__, a, b) == outcome(reference_mul, a, b)
+    assert outcome(TruncSeries.__rmul__, b, a) == outcome(reference_mul, b, a)
+    for s in pair:
+        assert outcome(TruncSeries.inverse, s) == outcome(reference_inverse, s)
+    if a.order == b.order and b.coeff(0):
+        assert a / b == reference_mul(a, reference_inverse(b))
+
+
+@st.composite
+def interpolation_cases(draw):
+    """Points on a polynomial of degree <= bound, then maybe one defect."""
+    bound = draw(st.integers(-1, 10))
+    poly = Poly(draw(st.lists(rationals, max_size=bound + 1)))
+    count = draw(st.integers(max(bound, 0), bound + 3))  # bound points are too few
+    xs = draw(st.lists(rationals, min_size=count, max_size=count, unique=True))
+    points = [(x, poly(x)) for x in xs]
+    defect = draw(st.sampled_from(["none", "none", "inconsistent", "duplicate"]))
+    if defect == "inconsistent" and len(points) > bound + 1:
+        i = draw(st.integers(bound + 1, len(points) - 1))
+        points[i] = (points[i][0], points[i][1] + draw(nonzero_rationals))
+    elif defect == "duplicate" and points:
+        x = draw(st.sampled_from(xs))
+        points.insert(draw(st.integers(0, len(points))), (x, draw(rationals)))
+    return points, bound, poly
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(interpolation_cases())
+def test_interpolate_matches_lagrange_reference(case):
+    points, bound, poly = case
+    got = outcome(interpolate, points, bound)
+    assert got == outcome(lagrange_interpolate, points, bound)
+    xs = [x for x, _ in points]
+    if len(set(xs)) == len(xs) == len(points) and all(poly(x) == y for x, y in points) \
+            and len(points) > bound:
+        assert got == poly

@@ -38,8 +38,8 @@ def test_corrupted_formula_detected(monkeypatch):
     # perturb the descent formula by x^2: the corruption surfaces at n=2,
     # where the true row is the single desarrangement 21 contributing t
     real = formulas._des
-    monkeypatch.setattr(formulas, "_des",
-                        lambda t, order: real(t, order) + poly_series([0, 0, 1], order))
+    monkeypatch.setitem(formulas.FORMULAS, "des",
+                        (1, lambda t, order: real(t, order) + poly_series([0, 0, 1], order)))
     report = verify.check_statistic_tables(3)
     assert not report.ok
     bad = [n for n, v in report.verdicts.items() if v != "match"]
