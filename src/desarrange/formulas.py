@@ -6,8 +6,10 @@ Statistic variables are never handled symbolically: a formula is evaluated
 at concrete rational points of t (and s), giving plain rational x-series,
 and the degree-bounded distribution polynomial of each row is recovered by
 exact interpolation by Newton divided differences (O(n^2) rational
-operations for a degree-n row) over one extra point than needed -- the
-spare point doubles as a transcription check.
+operations for a degree-n row).  Every row n of a table with rows
+0..n_max goes through all n_max + 2 sample points, n + 1 of which
+determine it; the other n_max + 1 - n are spare points that double as a
+transcription check.
 
 Every formula that the source material states with a square root
 (sqrt(1-t), or the combined radicals in the double-ascent/descent and
@@ -358,16 +360,20 @@ def distribution_polynomials(tag: str, n_max: int) -> DistributionTable:
 
 
 def rval_polynomials(n_max: int) -> DistributionTable:
-    """Right-valley rows over desarrangements: t * pk-row for n >= 1.
+    """Right-valley rows 0..n_max over desarrangements (see rval_rows)."""
+    return DistributionTable("rval", rval_rows(distribution_polynomials("pk", n_max).rows))
+
+
+def rval_rows(pk_rows: dict) -> dict:
+    """Right-valley rows from the pk rows: t * pk-row for n >= 1.
 
     Every nonempty desarrangement has exactly one more right valley than
     peaks, and the empty permutation has none.
     """
-    pk_rows = distribution_polynomials("pk", n_max).rows
     rows = {0: Poly([1])}
-    for n in range(1, n_max + 1):
+    for n in range(1, max(pk_rows) + 1):
         rows[n] = Poly([Fraction(0)] + list(pk_rows[n].coeffs))
-    return DistributionTable("rval", rows)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -377,15 +383,21 @@ class CheckResult:
     details: str = ""
 
 
+SPECIALIZATION_TAGS = ("des", "eulerian", "joint_pk_des", "joint_pix_des")
+
+
 def specialization_checks(n_max: int = 8) -> list[CheckResult]:
     """Formula-side consistency identities between the closed forms."""
-    results = []
-    order = n_max + 1
+    return specialization_results({tag: distribution_polynomials(tag, n_max).rows
+                                   for tag in SPECIALIZATION_TAGS})
 
-    des_rows = distribution_polynomials("des", n_max).rows
-    eul_rows = distribution_polynomials("eulerian", n_max).rows
-    pkdes = distribution_polynomials("joint_pk_des", n_max).rows
-    pixdes = distribution_polynomials("joint_pix_des", n_max).rows
+
+def specialization_results(tables: dict) -> list[CheckResult]:
+    """specialization_checks on rows 0..n_max already built for SPECIALIZATION_TAGS."""
+    results = []
+    des_rows, eul_rows, pkdes, pixdes = (tables[tag] for tag in SPECIALIZATION_TAGS)
+    n_max = max(des_rows)
+    order = n_max + 1
 
     def rows_equal(sub_rows, target_rows):
         bad = [n for n in range(n_max + 1) if sub_rows[n] != target_rows[n]]

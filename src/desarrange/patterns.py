@@ -344,37 +344,79 @@ def _fib_right_trim_inverse(q, grow: int):
     return (*q, m + 1)
 
 
+def _av(labels: str, klass: str = "all") -> tuple[frozenset[Perm], str]:
+    """An avoidance class: the members of klass avoiding the listed patterns."""
+    return parse_patterns(labels), klass
+
+
 @dataclass(frozen=True)
 class Bijection:
+    """A proof bijection and the class identity it proves.
+
+    Domain and target are (pattern set, class) pairs.  On each length
+    n >= n_min, forward maps the domain one-to-one onto the target, and
+    len(image) - len(preimage) is one of the shifts; so |domain_n| is the
+    sum over the shifts of |target_{n+shift}|.  Domain members in the class
+    `fixes` map to themselves instead and stay out of that sum; `flips`
+    says the map toggles desarrangement membership.
+    """
     name: str
     forward: callable
-    inverse: callable
-    graded: bool  # inverse needs grow in {1, 2} to choose the target length
+    inverse: callable  # takes grow = -shift when the map is graded
+    domain: tuple[frozenset[Perm], str]
+    target: tuple[frozenset[Perm], str]
+    shifts: tuple[int, ...]
     description: str
+    n_min: int = 0
+    fixes: str | None = None
+    flips: bool = False
+
+    @property
+    def graded(self) -> bool:
+        """True when images come in several lengths, so the inverse needs grow."""
+        return len(self.shifts) > 1
 
 
 BIJECTIONS = {
     b.name: b for b in [
-        Bijection("321_insert", _insert_one_forward, _insert_one_inverse, False,
+        Bijection("321_insert", _insert_one_forward, _insert_one_inverse,
+                  _av("321"), _av("321", "desarrangements"), (1,),
                   "lift letters by 1 and insert 1 after the first letter: "
-                  "321-avoiders of length n-1 onto 321-avoiding desarrangements"),
-        Bijection("213_prepend", _prepend_max_forward, _prepend_max_inverse, False,
+                  "321-avoiders of length n-1 onto 321-avoiding desarrangements",
+                  n_min=1),
+        Bijection("213_prepend", _prepend_max_forward, _prepend_max_inverse,
+                  _av("213"), _av("213", "desarrangements"), (1,),
                   "prepend n+1 to non-desarrangements (identity on desarrangements); "
-                  "inverse strips the leading maximum"),
-        Bijection("312_prepend", _prepend_lift_forward, _prepend_lift_inverse, False,
+                  "inverse strips the leading maximum",
+                  fixes="desarrangements"),
+        Bijection("312_prepend", _prepend_lift_forward, _prepend_lift_inverse,
+                  _av("312"), _av("312", "desarrangements"), (1,),
                   "lift letters above p1 and prepend p1+1 to non-desarrangements; "
-                  "inverse undoes the lift"),
-        Bijection("132_231_toggle", _toggle_max, _toggle_max, False,
+                  "inverse undoes the lift",
+                  fixes="desarrangements"),
+        Bijection("132_231_toggle", _toggle_max, _toggle_max,
+                  _av("132,231"), _av("132,231"), (0,),
                   "move n between the ends: swaps desarrangements and "
-                  "non-desarrangements within the 132,231-avoiders"),
-        Bijection("231_321_swap", _swap_first_two, _swap_first_two, False,
-                  "swap the first two letters within the 231,321-avoiders"),
-        Bijection("312_321_strip", _strip_21_forward, _strip_21_inverse, False,
-                  "drop the forced 21 prefix and standardize"),
-        Bijection("123_132_213_trim", _fib_left_trim_forward, _fib_left_trim_inverse, True,
-                  "drop the final letter, or the final 21, and standardize"),
-        Bijection("231_312_321_trim", _fib_right_trim_forward, _fib_right_trim_inverse, True,
-                  "drop a final n, or a final n(n-1)"),
+                  "non-desarrangements within the 132,231-avoiders",
+                  n_min=2, flips=True),
+        Bijection("231_321_swap", _swap_first_two, _swap_first_two,
+                  _av("231,321"), _av("231,321"), (0,),
+                  "swap the first two letters within the 231,321-avoiders",
+                  n_min=2, flips=True),
+        Bijection("312_321_strip", _strip_21_forward, _strip_21_inverse,
+                  _av("312,321", "desarrangements"), _av("312,321"), (-2,),
+                  "drop the forced 21 prefix and standardize",
+                  n_min=2),
+        Bijection("123_132_213_trim", _fib_left_trim_forward, _fib_left_trim_inverse,
+                  _av("123,132,213", "desarrangements"),
+                  _av("123,132,213", "desarrangements"), (-1, -2),
+                  "drop the final letter, or the final 21, and standardize",
+                  n_min=3),
+        Bijection("231_312_321_trim", _fib_right_trim_forward, _fib_right_trim_inverse,
+                  _av("231,312,321", "desarrangements"),
+                  _av("231,312,321", "desarrangements"), (-1, -2),
+                  "drop a final n, or a final n(n-1)",
+                  n_min=3),
     ]
 }
 
@@ -395,8 +437,10 @@ def bijection(name: str, p, direction: str = "forward", grow: int | None = None)
     if direction == "forward":
         return b.forward(p)
     if b.graded:
-        if grow not in (1, 2):
-            raise ValueError(f"{name} inverse needs grow=1 or grow=2")
+        grows = sorted(-shift for shift in b.shifts)
+        if grow not in grows:
+            raise ValueError(f"{name} inverse needs "
+                             + " or ".join(f"grow={g}" for g in grows))
         return b.inverse(p, grow)
     return b.inverse(p)
 
@@ -442,6 +486,15 @@ def simion_schmidt_inverse(q) -> Perm:
             out.append(c)
         used.add(out[-1])
     return tuple(out)
+
+
+# Simion-Schmidt as proof records, over S_n and restricted to desarrangements;
+# they stay out of BIJECTIONS, whose names bijection() accepts
+SIMION_SCHMIDT = tuple(
+    Bijection(f"simion_schmidt({klass})", simion_schmidt, simion_schmidt_inverse,
+              _av("123", klass), _av("132", klass), (0,),
+              "123-avoiders onto 132-avoiders, keeping the left-to-right minima")
+    for klass in ("all", "desarrangements"))
 
 
 # --- derangement comparison and the pix/fix conjecture ---

@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import formulas, oracle, patterns, rungraph
-from .perms import avoiders, enumerate_class, first_ascent, is_desarrangement, perm_to_str
+from .perms import (
+    avoiders, class_predicate, enumerate_class, first_ascent, is_desarrangement, perm_to_str,
+)
 from .series import cosh_even
 
 # Known desarrangement listings of length <= 5, frozen for the membership
@@ -93,7 +95,7 @@ def check_statistic_tables(n_max: int) -> VerificationReport:
     stats = ["des", "pk", "val", "dasc", "ddes", "rval"]
     tables = {s: formulas.distribution_polynomials(s, top).rows
               for s in ("des", "pk", "val", "dasc", "ddes")}
-    tables["rval"] = formulas.rval_polynomials(top).rows
+    tables["rval"] = formulas.rval_rows(tables["pk"])
     for n in range(top + 1):
         joint = oracle.distribution(n, stats, "desarrangements")
         for i, name in enumerate(stats):
@@ -186,103 +188,43 @@ def check_lemma_facts(n_max: int) -> VerificationReport:
     return rep
 
 
-def _in_class(q, pats, klass: str = "all") -> bool:
-    if klass == "desarrangements" and not is_desarrangement(q):
-        return False
-    return patterns.avoids(q, pats)
-
-
-def _roundtrip_ok(name: str, n: int) -> tuple[bool, str]:
-    """Round-trip a bijection over its whole length-n domain.
+def _bijection_ok(b: patterns.Bijection, n: int) -> tuple[bool, str]:
+    """Check the class identity a bijection declares, over its length-n domain.
 
     Surjectivity is checked by counting: images are validated to lie in the
-    target class, shown pairwise distinct, and matched against the
-    brute-force class size.
+    target class, are pairwise distinct because the round trip holds, and
+    are matched per length against the brute-force class size.
     """
-    b = patterns.BIJECTIONS[name]
-    if name == "321_insert":
-        if n == 0:
-            return True, ""
-        domain = avoiders(n, {patterns.P321})
-        images = set()
-        for p in domain:
+    if n < b.n_min:
+        return True, ""
+    fixed = class_predicate(b.fixes) if b.fixes else lambda p: False
+    target, target_class = b.target
+    in_target_class = class_predicate(target_class)
+    images = {shift: set() for shift in b.shifts}
+    try:
+        for p in avoiders(n, *b.domain):
             q = b.forward(p)
-            if b.inverse(q) != p:
-                return False, f"round-trip failed at {p}"
-            if not _in_class(q, {patterns.P321}, "desarrangements"):
-                return False, f"image {q} outside the target class"
-            images.add(q)
-        want = patterns.count_class(n + 1, {patterns.P321}, "desarrangements")
-        return len(images) == len(domain) == want, "image misses part of the target class"
-    if name in ("213_prepend", "312_prepend"):
-        sigma = patterns.P213 if name == "213_prepend" else patterns.P312
-        domain = avoiders(n, {sigma})
-        n_des = 0
-        long_images = set()
-        for p in domain:
-            q = b.forward(p)
-            if is_desarrangement(p):
-                n_des += 1
+            if fixed(p):
                 if q != p:
-                    return False, f"not the identity on desarrangement {p}"
+                    return False, f"not the identity on {p}"
                 continue
-            if b.inverse(q) != p:
+            shift = len(q) - n
+            if shift not in images:
+                return False, f"image {q} of {p} has an undeclared length"
+            if (b.inverse(q, -shift) if b.graded else b.inverse(q)) != p:
                 return False, f"round-trip failed at {p}"
-            if not _in_class(q, {sigma}, "desarrangements"):
+            if not (in_target_class(q) and patterns.avoids(q, target)):
                 return False, f"image {q} outside the target class"
-            long_images.add(q)
-        want = patterns.count_class(n + 1, {sigma}, "desarrangements")
-        ok = len(long_images) == len(domain) - n_des == want
-        return ok, "prepend images do not fill the next-length class"
-    if name in ("132_231_toggle", "231_321_swap"):
-        pats = ({patterns.P132, patterns.P231} if name == "132_231_toggle"
-                else {patterns.P231, patterns.P321})
-        if n < 2:
-            return True, ""
-        for p in avoiders(n, pats):
-            q = b.forward(p)
-            if not patterns.avoids(q, pats):
-                return False, f"image {q} left the class"
-            if is_desarrangement(q) == is_desarrangement(p):
+            if b.flips and is_desarrangement(q) == is_desarrangement(p):
                 return False, f"{p} -> {q} does not toggle desarrangement-ness"
-            if b.forward(q) != p:
-                return False, f"not an involution at {p}"
-        return True, ""
-    if name == "312_321_strip":
-        pats = {patterns.P312, patterns.P321}
-        if n < 2:
-            return True, ""
-        domain = avoiders(n, pats, "desarrangements")
-        images = set()
-        for p in domain:
-            q = b.forward(p)
-            if b.inverse(q) != p:
-                return False, f"round-trip failed at {p}"
-            if not _in_class(q, pats):
-                return False, f"image {q} outside the target class"
-            images.add(q)
-        want = patterns.count_class(n - 2, pats, "all")
-        return len(images) == len(domain) == want, "strip images miss the shorter class"
-    # the two graded trim maps
-    pats = ({patterns.P123, patterns.P132, patterns.P213}
-            if name == "123_132_213_trim"
-            else {patterns.P231, patterns.P312, patterns.P321})
-    if n < 3:
-        return True, ""
-    domain = avoiders(n, pats, "desarrangements")
-    short_images, long_images = set(), set()
-    for p in domain:
-        q = b.forward(p)
-        grow = n - len(q)
-        if b.inverse(q, grow) != p:
-            return False, f"round-trip failed at {p}"
-        if not _in_class(q, pats, "desarrangements"):
-            return False, f"image {q} outside the target class"
-        (long_images if grow == 1 else short_images).add(q)
-    ok = (len(long_images) + len(short_images) == len(domain)
-          and len(long_images) == patterns.count_class(n - 1, pats, "desarrangements")
-          and len(short_images) == patterns.count_class(n - 2, pats, "desarrangements"))
-    return ok, "trim images do not fill both shorter classes"
+            images[shift].add(q)
+    except patterns.DomainError as exc:
+        return False, f"raised on its own domain: {exc}"
+    for shift, found in images.items():
+        want = patterns.count_class(n + shift, target, target_class)
+        if len(found) != want:
+            return False, f"{len(found)} images of length {n + shift}, class has {want}"
+    return True, ""
 
 
 def check_bijections(n_max: int) -> VerificationReport:
@@ -300,28 +242,9 @@ def check_bijections(n_max: int) -> VerificationReport:
         got = patterns.bijection(name, arg, direction)
         rep.record(len(arg), got == want, f"{name}({arg}) = {got}, want {want}")
     for n in range(top + 1):
-        for name in patterns.BIJECTIONS:
-            ok, msg = _roundtrip_ok(name, n)
-            rep.record(n, ok, f"{name}: {msg}")
-        # Simion-Schmidt restricted to desarrangements
-        images = set()
-        des_images = set()
-        for p in avoiders(n, {patterns.P123}):
-            q = patterns.simion_schmidt(p)
-            if patterns.simion_schmidt_inverse(q) != p:
-                rep.record(n, False, f"simion_schmidt round-trip failed at {p}")
-            if not patterns.avoids(q, {patterns.P132}):
-                rep.record(n, False, f"simion_schmidt image {q} contains 132")
-            images.add(q)
-            if is_desarrangement(p):
-                if not is_desarrangement(q):
-                    rep.record(n, False, f"simion_schmidt left desarrangements at {p}")
-                des_images.add(q)
-        rep.record(n, len(images) == patterns.count_class(n, {patterns.P132}, "all"),
-                   "simion_schmidt does not reach every 132-avoider")
-        rep.record(n, len(des_images) == patterns.count_class(n, {patterns.P132},
-                                                              "desarrangements"),
-                   "simion_schmidt restriction misses desarrangements")
+        for b in (*patterns.BIJECTIONS.values(), *patterns.SIMION_SCHMIDT):
+            ok, msg = _bijection_ok(b, n)
+            rep.record(n, ok, f"{b.name}: {msg}")
         # cardinality recurrences behind the prepend maps
         c_n = patterns.catalan(n)
         for sigma_name, sigma in (("213", patterns.P213), ("312", patterns.P312)):
@@ -336,10 +259,11 @@ def check_specializations(n_max: int) -> VerificationReport:
     """Formula-level identities plus their brute-force shadows."""
     top = min(n_max, 8)
     rep = VerificationReport("specializations", (0, top), n_requested=n_max)
-    for res in formulas.specialization_checks(top):
+    tables = {tag: formulas.distribution_polynomials(tag, top).rows
+              for tag in formulas.SPECIALIZATION_TAGS}
+    for res in formulas.specialization_results(tables):
         rep.record(top, res.ok, f"{res.name}: {res.details}")
-    pixdes = formulas.distribution_polynomials("joint_pix_des", top).rows
-    pkdes = formulas.distribution_polynomials("joint_pk_des", top).rows
+    pixdes, pkdes = tables["joint_pix_des"], tables["joint_pk_des"]
     for n in range(top + 1):
         des_row = oracle.distribution(n, ["des"], "all")
         want = {k: Fraction(v) for k, v in des_row.items()}

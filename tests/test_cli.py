@@ -8,6 +8,7 @@ from desarrange import cli
 from reference_tables import derangement_numbers
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+SPECS = pathlib.Path(__file__).resolve().parent.parent / "src" / "desarrange" / "specs"
 
 
 def run(capsys, *argv):
@@ -58,7 +59,7 @@ def test_runthm_builtin_and_file(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "1,0,1,2,9,44,265,1854,14833"
     assert lines[1] == lines[0] and lines[2] == "oracle: ok"
-    spec_path = pathlib.Path(__file__).resolve().parent.parent / "specs" / "fig2.json"
+    spec_path = SPECS / "fig2.json"
     code, out = run(capsys, "runthm", str(spec_path), "-i", "1", "-j", "2",
                     "-t", "1", "--correction", "one", "--order", "8")
     assert code == 0
@@ -143,7 +144,7 @@ def test_usage_errors_exit_2(capsys):
 
 
 def _fig2_json():
-    path = pathlib.Path(__file__).resolve().parent.parent / "specs" / "fig2.json"
+    path = SPECS / "fig2.json"
     return json.loads(path.read_text())
 
 

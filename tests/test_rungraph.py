@@ -363,14 +363,6 @@ def test_spec_from_json_raises_only_spec_format_error(data):
         pass
 
 
-def test_repo_spec_files_match_builtins():
-    import pathlib
-    repo_specs = pathlib.Path(__file__).resolve().parent.parent / "specs"
-    for name in rungraph.BUILTIN_SPECS:
-        data = json.loads((repo_specs / f"{name}.json").read_text())
-        assert spec_from_json(data) == builtin_spec(name)
-
-
 def test_unknown_builtin():
     with pytest.raises(SpecFormatError):
         builtin_spec("fig9")

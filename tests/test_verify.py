@@ -1,8 +1,12 @@
+import dataclasses
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from desarrange import formulas, verify
+from desarrange import formulas, patterns, verify
+from desarrange.perms import avoiders, class_predicate
 from desarrange.series import poly_series
 
 
@@ -64,3 +68,77 @@ def test_report_records_mismatch_details():
     assert "left 1 vs right 2" in rep.verdicts[1]
     assert "second failure" in rep.verdicts[1]
     assert rep.to_json()["verdicts"]["0"] == "match"
+
+
+def _complement(p):
+    return tuple(len(p) + 1 - v for v in p)
+
+
+COMPLEMENT = patterns.Bijection(
+    "complement", _complement, _complement,
+    (patterns.parse_patterns("123"), "all"), (patterns.parse_patterns("321"), "all"),
+    (0,), "replace each letter v by n + 1 - v: Av_n(123) onto Av_n(321)")
+
+
+@pytest.mark.parametrize("declared, failure", [
+    ({}, None),
+    ({"target": (patterns.parse_patterns("123"), "all")}, "outside the target class"),
+    ({"target": (patterns.parse_patterns("321"), "desarrangements")},
+     "outside the target class"),
+    ({"domain": (patterns.parse_patterns("123,132"), "all")}, "images of length"),
+    ({"shifts": (1,)}, "undeclared length"),
+    ({"flips": True}, "does not toggle"),
+    ({"fixes": "desarrangements"}, "not the identity"),
+])
+def test_a_new_bijection_needs_only_its_record(monkeypatch, declared, failure):
+    # verify knows the complement map only through its record; each wrong
+    # declaration fails for its own reason
+    record = dataclasses.replace(COMPLEMENT, **declared)
+    monkeypatch.setitem(patterns.BIJECTIONS, "complement", record)
+    report = verify.check_bijections(6)
+    assert report.ok is (failure is None)
+    if failure:
+        assert any("complement: " in v and failure in v for v in report.verdicts.values())
+
+
+PROOF_RECORDS = [*patterns.BIJECTIONS.values(), *patterns.SIMION_SCHMIDT]
+
+
+@pytest.mark.parametrize("side", ["forward", "inverse"])
+@pytest.mark.parametrize("name", [b.name for b in PROOF_RECORDS])
+def test_verify_catches_a_broken_bijection(monkeypatch, name, side):
+    record = next(b for b in PROOF_RECORDS if b.name == name)
+    real = getattr(record, side)
+    broken = dataclasses.replace(record, **{side: lambda *args: real(*args)[::-1]})
+    if name in patterns.BIJECTIONS:
+        monkeypatch.setitem(patterns.BIJECTIONS, name, broken)
+    else:
+        monkeypatch.setattr(patterns, "SIMION_SCHMIDT", tuple(
+            broken if b.name == name else b for b in patterns.SIMION_SCHMIDT))
+    report = verify.check_bijections(6)
+    assert not report.ok
+    assert any(f"{name}: " in v for v in report.verdicts.values())
+
+
+@functools.lru_cache(maxsize=None)
+def _domain(name, n):
+    return avoiders(n, *patterns.BIJECTIONS[name].domain)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_bijections_round_trip_beyond_verify_range(data):
+    # verify stops at n = 8; draw domain members up to n = 10
+    name = data.draw(st.sampled_from(sorted(patterns.BIJECTIONS)))
+    b = patterns.BIJECTIONS[name]
+    n = data.draw(st.integers(b.n_min, 10))
+    p = data.draw(st.sampled_from(_domain(name, n)))
+    q = patterns.bijection(name, p)
+    target, target_class = b.target
+    assert patterns.avoids(q, target) and class_predicate(target_class)(q)
+    if b.fixes and class_predicate(b.fixes)(p):
+        assert q == p
+    else:
+        shift = len(q) - n
+        assert shift in b.shifts
+        assert patterns.bijection(name, q, "inverse", grow=-shift) == p
