@@ -191,15 +191,15 @@ def check_lemma_facts(n_max: int) -> VerificationReport:
 def _bijection_ok(b: patterns.Bijection, n: int) -> tuple[bool, str]:
     """Check the class identity a bijection declares, over its length-n domain.
 
-    Surjectivity is checked by counting: images are validated to lie in the
-    target class, are pairwise distinct because the round trip holds, and
-    are matched per length against the brute-force class size.
+    The target class is generated once per shift.  Each image must lie in
+    it before the inverse may run; the round trip makes the images
+    distinct, and at the end the images at each shift must be exactly the
+    target class of length n + shift.
     """
     if n < b.n_min:
         return True, ""
     fixed = class_predicate(b.fixes) if b.fixes else lambda p: False
-    target, target_class = b.target
-    in_target_class = class_predicate(target_class)
+    targets = {shift: set(avoiders(n + shift, *b.target)) for shift in b.shifts}
     images = {shift: set() for shift in b.shifts}
     try:
         for p in avoiders(n, *b.domain):
@@ -211,18 +211,18 @@ def _bijection_ok(b: patterns.Bijection, n: int) -> tuple[bool, str]:
             shift = len(q) - n
             if shift not in images:
                 return False, f"image {q} of {p} has an undeclared length"
+            if q not in targets[shift]:
+                return False, f"image {q} outside the target class"
             if (b.inverse(q, -shift) if b.graded else b.inverse(q)) != p:
                 return False, f"round-trip failed at {p}"
-            if not (in_target_class(q) and patterns.avoids(q, target)):
-                return False, f"image {q} outside the target class"
             if b.flips and is_desarrangement(q) == is_desarrangement(p):
                 return False, f"{p} -> {q} does not toggle desarrangement-ness"
             images[shift].add(q)
     except patterns.DomainError as exc:
         return False, f"raised on its own domain: {exc}"
     for shift, found in images.items():
-        want = patterns.count_class(n + shift, target, target_class)
-        if len(found) != want:
+        if found != targets[shift]:
+            want = len(targets[shift])
             return False, f"{len(found)} images of length {n + shift}, class has {want}"
     return True, ""
 
@@ -282,32 +282,14 @@ def check_specializations(n_max: int) -> VerificationReport:
     return rep
 
 
-EQUIDISTRIBUTION_RESOLVED_AT = 7  # smallest n_max distinguishing every unlisted set
-
-
 def check_equidistribution(n_max: int) -> VerificationReport:
-    """The ten-set count identity and nine-set pix/fix evidence lists.
-
-    Below n_max = 7 several unlisted sets have not yet diverged, so only
-    the "listed sets must agree" direction is enforced there.
-    """
+    """The ten-set count identity and nine-set pix/fix evidence lists, judged
+    by EquidistributionReport.failures."""
     top = min(n_max, 8)
-    conclusive = top >= EQUIDISTRIBUTION_RESOLVED_AT
     rep = VerificationReport("equidistribution", (0, top), n_requested=n_max)
-    report = patterns.equidistribution_report(top)
-    for e in report.entries:
-        if conclusive:
-            rep.record(top, e.counts_match == e.in_counts_theorem,
-                       f"{{{e.patterns}}} counts_match={e.counts_match} "
-                       f"but listed={e.in_counts_theorem}")
-            rep.record(top, e.pixfix_match == e.in_pixfix_conjecture,
-                       f"{{{e.patterns}}} pixfix_match={e.pixfix_match} "
-                       f"but conjectured={e.in_pixfix_conjecture}")
-        else:
-            rep.record(top, e.counts_match or not e.in_counts_theorem,
-                       f"{{{e.patterns}}} is in the count list but differs")
-            rep.record(top, e.pixfix_match or not e.in_pixfix_conjecture,
-                       f"{{{e.patterns}}} is conjectured but differs")
+    rep.record(top, True)
+    for note in patterns.equidistribution_report(top).failures():
+        rep.record(top, False, note)
     return rep
 
 

@@ -1,9 +1,10 @@
 import json
+import os
 import pathlib
 
 import pytest
 
-from desarrange import cli
+from desarrange import cli, patterns
 
 from reference_tables import derangement_numbers
 
@@ -135,12 +136,25 @@ def test_usage_errors_exit_2(capsys):
         assert exc.value.code == 2
         assert capsys.readouterr().err.count("error:") == 1
     for argv in (["tables", "2", "--n-max", "-1"], ["verify", "--n-max", "-1"],
-                 ["conjecture", "--n-max", "-2"], ["seq", "fine", "-3"]):
+                 ["conjecture", "--n-max", "-2"], ["seq", "fine", "-3"],
+                 ["--cap-override", "-1", "seq", "fine", "3"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.err.count("error:") == 1 and captured.out == ""
+    # over-cap requests are usage errors too, from every subcommand
+    for argv in (["verify", "--n-max", "4"], ["conjecture", "--n-max", "4"],
+                 ["tables", "1"]):
+        assert cli.main(["--cap-override", "3", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("error:") == 1 and captured.out == ""
+        assert "Traceback" not in captured.err
+    # (order 10: the oracle's lengths up to 9 may be cached by earlier tests)
+    assert cli.main(["--cap-override", "3", "runthm", "fig1", "-i", "1", "-j", "3",
+                     "--order", "10", "--oracle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1 and "oracle" not in captured.out
 
 
 def _fig2_json():
@@ -168,5 +182,22 @@ def test_cap_override(capsys, monkeypatch):
     monkeypatch.delenv("DESARRANGE_CAP", raising=False)
     code, out = run(capsys, "--cap-override", "12", "seq", "catalan", "3")
     assert code == 0
-    import os
-    assert os.environ["DESARRANGE_CAP"] == "12"
+    # the override applies during the call: table 1 lists lengths up to 5
+    assert run(capsys, "--cap-override", "4", "tables", "1")[0] == 2
+    assert run(capsys, "--cap-override", "5", "tables", "1")[0] == 0
+    # and is gone after it, whether or not the variable was set before
+    assert "DESARRANGE_CAP" not in os.environ
+    monkeypatch.setenv("DESARRANGE_CAP", "4")
+    assert run(capsys, "--cap-override", "5", "tables", "1")[0] == 0
+    assert os.environ["DESARRANGE_CAP"] == "4"
+    assert run(capsys, "tables", "1")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [["verify", "--only", "equidistribution", "--n-max", "8"],
+                                  ["conjecture", "--n-max", "8"]])
+def test_an_unlisted_agreeing_set_fails_the_conjecture(capsys, monkeypatch, argv):
+    # both commands judge the lists by the same rule: from n_max = 7 on they
+    # must be exact, so dropping a set that does agree is a mismatch
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(patterns, "PIXFIX_CONJECTURE_SETS", patterns.PIXFIX_CONJECTURE_SETS[1:])
+    assert run(capsys, *argv)[0] == 1

@@ -9,7 +9,9 @@ from desarrange.patterns import (
     parse_patterns, pattern_mask, patterns_label, sequence,
     simion_schmidt, simion_schmidt_inverse, all_pattern_sets,
 )
-from desarrange.perms import CapExceededError, enumerate_class, is_desarrangement
+from desarrange.perms import (
+    CapExceededError, avoiders, class_predicate, enumerate_class, is_desarrangement,
+)
 
 from reference_tables import (
     A_SEQUENCE, CATALAN_NUMBERS, DERANGEMENT_NUMBERS, FIBONACCI_NUMBERS,
@@ -140,6 +142,47 @@ def test_bijection_domain_errors():
         bijection("no_such_map", (1,))
     with pytest.raises(ValueError):
         bijection("321_insert", (1, 2), "sideways")
+
+
+def _declared_sides(b):
+    """(direction, grow, (pattern set, class), minimum length) for each way
+    into the row: forward from the domain, inverse from the target per shift."""
+    yield "forward", None, b.domain, b.n_min
+    for shift in b.shifts:
+        yield "inverse", -shift if b.graded else None, b.target, b.n_min + shift
+
+
+@pytest.mark.parametrize("name", sorted(BIJECTIONS))
+def test_bijection_rejects_inputs_outside_its_row(name):
+    # both inputs are derived from the row alone, so the maps need no guards
+    b = BIJECTIONS[name]
+    for direction, grow, (pats, klass), length in _declared_sides(b):
+        member = class_predicate(klass)
+        if length > 0:
+            # one letter too short, though in the class where the class allows
+            short = (avoiders(length - 1, pats, klass) or avoiders(length - 1, pats))[0]
+            with pytest.raises(DomainError):
+                bijection(name, short, direction, grow=grow)
+        size = max(length, 3)
+        outside = next(p for p in enumerate_class(size)
+                       if not (member(p) and avoids(p, pats)))
+        with pytest.raises(DomainError):
+            bijection(name, outside, direction, grow=grow)
+        # a declared member of the same length goes through
+        inside = avoiders(size, pats, klass)
+        if inside:
+            bijection(name, inside[0], direction, grow=grow)
+
+
+@pytest.mark.parametrize("name, p, direction, grow", [
+    ("231_312_321_trim", (), "inverse", 2),   # image (2, 1) is shorter than n_min = 3
+    ("231_312_321_trim", (), "inverse", 1),   # image (1,) is not a desarrangement
+    ("123_132_213_trim", (), "inverse", 2),   # image (2, 1) is shorter than n_min = 3
+    ("132_231_toggle", (1,), "forward", None),  # shorter than n_min = 2
+])
+def test_bijection_rejects_short_inputs_the_maps_accept(name, p, direction, grow):
+    with pytest.raises(DomainError):
+        bijection(name, p, direction, grow=grow)
 
 
 def test_bijection_roundtrips_small():

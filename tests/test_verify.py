@@ -101,6 +101,18 @@ def test_a_new_bijection_needs_only_its_record(monkeypatch, declared, failure):
         assert any("complement: " in v and failure in v for v in report.verdicts.values())
 
 
+def test_a_map_raising_on_its_declared_domain_fails(monkeypatch):
+    # declared on all 132-avoiders, the toggle meets 231, whose maximum is
+    # at neither end, and its guard raises: a failed check, not a crash
+    wide = dataclasses.replace(patterns.BIJECTIONS["132_231_toggle"],
+                               domain=(patterns.parse_patterns("132"), "all"))
+    monkeypatch.setitem(patterns.BIJECTIONS, "132_231_toggle", wide)
+    report = verify.check_bijections(6)
+    assert not report.ok
+    assert any("132_231_toggle: raised on its own domain" in v
+               for v in report.verdicts.values())
+
+
 PROOF_RECORDS = [*patterns.BIJECTIONS.values(), *patterns.SIMION_SCHMIDT]
 
 
