@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import formulas, patterns, rungraph, verify
-from .perms import CAP_ENV_VAR, CapExceededError, enumerate_class, perm_to_str
+from .perms import CAP_ENV_VAR, CapExceededError, CapSettingError, enumerate_class, perm_to_str
 from .series import TruncSeries, cosh_even, format_rational
 
 STAT_TABLE_IDS = {2: "des", 3: "pk", 4: "val", 5: "dasc", 6: "ddes"}
@@ -257,6 +257,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except CapExceededError as exc:
         print(f"error: {exc}; raise the cap with --cap-override", file=sys.stderr)
+        return 2
+    except CapSettingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:  # the override lasts this one call
         if previous is None:

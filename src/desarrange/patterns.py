@@ -13,9 +13,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .perms import (
-    CENSUS_MAX, PATTERNS, Perm, avoiders, census, class_predicate, contains_pattern,
-    enumerate_class, is_desarrangement, pattern_mask, pix, standardize,
+from .perms import (  # pattern_mask is re-exported
+    PATTERNS, Perm, class_predicate, contains_pattern, fix, is_desarrangement, pattern_mask,
+    pix, standardize, tally,
 )
 
 P123, P132, P213, P231, P312, P321 = PATTERNS
@@ -64,20 +64,8 @@ def avoids(p, patterns) -> bool:
 
 
 def count_class(n: int, patterns, klass: str = "desarrangements") -> int:
-    """Brute-force size of the avoidance class within the given permutation class.
-
-    Up to CENSUS_MAX this sums the census of S_n; above it, a nonempty
-    pattern set generates its avoiders and the empty set streams the class.
-    """
-    patterns = frozenset(patterns)
-    forbid = pattern_mask(patterns)
-    if n <= CENSUS_MAX:
-        member = class_predicate(klass)
-        return sum(count for (mask, _, _), (count, p) in census(n).items()
-                   if not mask & forbid and member(p))
-    if forbid:
-        return len(avoiders(n, patterns, klass))
-    return sum(1 for _ in enumerate_class(n, klass))
+    """Brute-force size of the avoidance class within the given permutation class."""
+    return sum(tally(n, patterns, klass, lambda p: None).values())
 
 
 # --- classical sequences (indexing pinned to the tables in use) ---
@@ -567,31 +555,19 @@ def equidistribution_report(n_max: int = 8) -> EquidistributionReport:
     only: agreement up to n_max proves nothing beyond it.
     """
     report = EquidistributionReport(n_max=n_max)
-    # desarrangement membership and pix depend only on the descent set, so
-    # the census member of a key speaks for all of its permutations
-    hists = {n: [(mask, is_desarrangement(p), fx, pix(p), count)
-                 for (mask, _, fx), (count, p) in census(n).items()]
-             for n in range(n_max + 1)}
     for size in (1, 2, 3):
         for combo in itertools.combinations(PATTERNS, size):
             pats = frozenset(combo)
-            mset = pattern_mask(pats)
             counts_ok = True
             pixfix_ok = True
             for n in range(n_max + 1):
-                d = dtil = 0
                 fix_dist = Counter()
                 pix_dist = Counter()
-                for m, isdes, fx, px, c in hists[n]:
-                    if m & mset:
-                        continue
-                    if isdes:
-                        d += c
-                    if fx == 0:
-                        dtil += c
+                for (fx, px), c in tally(n, pats, "all", lambda p: (fix(p), pix(p))).items():
                     fix_dist[fx] += c
                     pix_dist[px] += c
-                if d != dtil:
+                # derangements have no fixed point, desarrangements no pixed point
+                if fix_dist[0] != pix_dist[0]:
                     counts_ok = False
                 if fix_dist != pix_dist:
                     pixfix_ok = False

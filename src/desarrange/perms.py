@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
+from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -32,10 +33,17 @@ class InvariantError(AssertionError):
     """An internal structural invariant failed; signals a bug."""
 
 
+class CapSettingError(ValueError):
+    """DESARRANGE_CAP holds something other than an integer."""
+
+
 def enumeration_cap() -> int:
     """Effective enumeration cap: DESARRANGE_CAP env var, else the default."""
-    raw = os.environ.get(CAP_ENV_VAR)
-    return int(raw) if raw else DEFAULT_ENUMERATION_CAP
+    raw = os.environ.get(CAP_ENV_VAR) or str(DEFAULT_ENUMERATION_CAP)
+    try:
+        return int(raw)
+    except ValueError:
+        raise CapSettingError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def check_permutation(p) -> Perm:
@@ -270,7 +278,8 @@ _CLASS_TESTS = {
 CLASSES = tuple(_CLASS_TESTS)
 
 
-def _check_cap(n: int, cap: int | None = None):
+def check_cap(n: int, cap: int | None = None):
+    """Raise CapExceededError when n is above the enumeration cap."""
     limit = cap if cap is not None else enumeration_cap()
     if n > limit:
         raise CapExceededError(f"n={n} exceeds enumeration cap {limit}")
@@ -291,7 +300,7 @@ def enumerate_class(n: int, klass: str = "all", cap: int | None = None):
     DESARRANGE_CAP environment variable) raise CapExceededError.
     """
     member = class_predicate(klass)
-    _check_cap(n, cap)
+    check_cap(n, cap)
     perms = itertools.permutations(range(1, n + 1))
     yield from perms if klass == "all" else filter(member, perms)
 
@@ -344,7 +353,7 @@ def contains_pattern(p, sigma) -> bool:
 
 # --- prefix walker: the S_n census and generated avoiders ---
 
-CENSUS_MAX = 9  # consumers read the census up to this length and stream above it
+CENSUS_MAX = 9  # tally reads the census up to this length and walks or streams above it
 
 
 def _walk(n: int, forbid: int, klass: str, leaf):
@@ -425,22 +434,19 @@ def _walk(n: int, forbid: int, klass: str, leaf):
 
 
 def census(n: int):
-    """Counter over S_n keyed (pattern mask, descent word, fix).
+    """Counter over S_n keyed (pattern mask, descent word, fix), read by tally.
 
     Each key maps to (count, first member in lexicographic order).  The
     descent word is the int whose binary digits, most significant first,
-    flag the descents at positions 1..n-1.  Every statistic in
-    STAT_FUNCTIONS other than fix, and desarrangement membership, depends
-    only on the descent set, so evaluating them on the stored member gives
-    their value on every permutation of the key.  Built on first use and
-    cached; lengths above the enumeration cap raise CapExceededError.
+    flag the descents at positions 1..n-1.  Built on first use and cached;
+    lengths above the enumeration cap raise CapExceededError.
     """
-    _check_cap(n)
+    check_cap(n)
     return _census(n)
 
 
-@functools.lru_cache(maxsize=None)
-def _census(n: int):
+def _keyed(n: int, forbid: int, klass: str) -> dict:
+    """{(pattern mask, descent word, fix): [count, first member]} over the walk."""
     out = {}
 
     def leaf(prefix, mask, dw, fx):
@@ -451,8 +457,52 @@ def _census(n: int):
         else:
             entry[0] += 1
 
-    _walk(n, 0, "all", leaf)
-    return MappingProxyType({key: (count, p) for key, (count, p) in out.items()})
+    _walk(n, forbid, klass, leaf)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _census(n: int):
+    return MappingProxyType({key: tuple(entry) for key, entry in _keyed(n, 0, "all").items()})
+
+
+def tally(n: int, patterns, klass: str, value) -> dict:
+    """Counts of value(p) over the members of the class avoiding every given pattern.
+
+    Contract: value(p) may depend only on the descent set of p and its
+    number of fixed points, as every statistic in STAT_FUNCTIONS,
+    descent_composition, is_desarrangement, is_derangement and pix do.
+    Up to CENSUS_MAX, value is evaluated once per (descent word, fix) group
+    of the census, on the group's first member.  Above it, a nonempty
+    pattern set walks only its avoiders, grouped the same way, and the
+    empty set streams enumerate_class.  Keys come in the lexicographic
+    order of their first permutation.  Lengths above the enumeration cap
+    raise CapExceededError.
+
+    >>> tally(4, (), "desarrangements", des)
+    {1: 3, 2: 5, 3: 1}
+    >>> tally(5, {(1, 2, 3), (1, 3, 2)}, "all", fix)
+    {1: 6, 0: 10}
+    """
+    forbid = pattern_mask(patterns)
+    member = class_predicate(klass)
+    check_cap(n)
+    if n > CENSUS_MAX and not forbid:
+        return dict(Counter(map(value, enumerate_class(n, klass))))
+    keyed = _census(n) if n <= CENSUS_MAX else _keyed(n, forbid, klass)
+    groups = {}
+    for (mask, dw, fx), (count, p) in keyed.items():
+        if not mask & forbid:
+            entry = groups.get((dw, fx))
+            if entry is None:
+                groups[dw, fx] = [count, p]
+            else:
+                entry[0] += count
+    out = Counter()
+    for count, p in groups.values():
+        if member(p):
+            out[value(p)] += count
+    return dict(out)
 
 
 def avoiders(n: int, patterns, klass: str = "all") -> list[Perm]:
@@ -464,7 +514,7 @@ def avoiders(n: int, patterns, klass: str = "all") -> list[Perm]:
     """
     forbid = pattern_mask(patterns)
     class_predicate(klass)  # rejects an unknown class
-    _check_cap(n)
+    check_cap(n)
     out = []
     _walk(n, forbid, klass, lambda prefix, *_: out.append(tuple(prefix)))
     return out

@@ -19,12 +19,11 @@ import functools
 import itertools
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .perms import census, descent_composition
+from .perms import check_cap, descent_composition, tally
 from .series import SeriesMatrix, TruncSeries, hat_transform
 
 BUILTIN_SPECS = ("fig1", "fig2", "fig3")
@@ -336,13 +335,15 @@ def run_theorem_egf(spec: RunGraphSpec, i: int, j: int, t=1, s=1,
     return hat_transform(a).inverse().entry(i, j)
 
 
-@functools.lru_cache(maxsize=None)
 def descent_composition_counts(n: int) -> dict[tuple[int, ...], int]:
     """How many permutations of 1..n have each descent composition."""
-    counts = Counter()
-    for count, p in census(n).values():  # the descent word is part of the key
-        counts[descent_composition(p)] += count
-    return dict(counts)
+    check_cap(n)  # ahead of the memo, so a lower cap set later still holds
+    return _descent_composition_counts(n)
+
+
+@functools.lru_cache(maxsize=None)
+def _descent_composition_counts(n: int) -> dict[tuple[int, ...], int]:
+    return tally(n, (), "all", descent_composition)
 
 
 def oracle_weight_sum(spec: RunGraphSpec, i: int, j: int, n: int, t=1, s=1) -> Fraction:

@@ -77,21 +77,38 @@ class VerificationReport:
                 "verdicts": {str(n): v for n, v in sorted(self.verdicts.items())}}
 
 
-def check_table1(n_max: int) -> VerificationReport:
+CHECKS = {}  # check name -> check(n_max), in registration order
+
+
+def _check(name: str, subject: str, n_min: int, limit: int):
+    """Register fill(rep, top) as a check over n_min..min(n_max, limit);
+    a miscopied formula makes the check fail, not crash."""
+    def register(fill):
+        def check(n_max: int) -> VerificationReport:
+            rep = VerificationReport(subject, (n_min, min(n_max, limit)), n_requested=n_max)
+            try:
+                fill(rep, rep.n_range[1])
+            except formulas.TranscriptionError as exc:
+                rep.record(rep.n_range[1], False, f"formula transcription: {exc}")
+            return rep
+        check.__name__, check.__doc__ = fill.__name__, fill.__doc__
+        CHECKS[name] = check
+        return check
+    return register
+
+
+@_check("table1", "table1-membership", 0, 5)
+def check_table1(rep: VerificationReport, top: int):
     """Recomputed desarrangement listings equal the known length <= 5 tables."""
-    top = min(n_max, 5)
-    rep = VerificationReport("table1-membership", (0, top), n_requested=n_max)
     for n in range(top + 1):
         got = [perm_to_str(p) for p in enumerate_class(n, "desarrangements")]
         rep.record(n, got == KNOWN_DESARRANGEMENTS[n],
                    f"enumerated {len(got)} of {len(KNOWN_DESARRANGEMENTS[n])}")
-    return rep
 
 
-def check_statistic_tables(n_max: int) -> VerificationReport:
+@_check("tables", "statistic-tables", 0, 9)
+def check_statistic_tables(rep: VerificationReport, top: int):
     """Interpolated distribution rows against brute-force counts over D_n."""
-    top = min(n_max, 9)
-    rep = VerificationReport("statistic-tables", (0, top), n_requested=n_max)
     stats = ["des", "pk", "val", "dasc", "ddes", "rval"]
     tables = {s: formulas.distribution_polynomials(s, top).rows
               for s in ("des", "pk", "val", "dasc", "ddes")}
@@ -104,13 +121,11 @@ def check_statistic_tables(n_max: int) -> VerificationReport:
             want = {k: Fraction(v) for k, v in brute.items()}
             got = {k: c for k, c in enumerate(row.coeffs) if c}
             rep.record(n, got == want, f"{name}: formula {got} vs oracle {want}")
-    return rep
 
 
-def check_run_theorem(n_max: int) -> VerificationReport:
+@_check("run-theorem", "run-theorem", 0, 9)
+def check_run_theorem(rep: VerificationReport, top: int):
     """Built-in graph specs against enumeration and the closed forms."""
-    top = min(n_max, 9)
-    rep = VerificationReport("run-theorem", (0, top), n_requested=n_max)
     order = top
     fig1 = rungraph.builtin_spec("fig1")
     fig2 = rungraph.builtin_spec("fig2")
@@ -150,13 +165,11 @@ def check_run_theorem(n_max: int) -> VerificationReport:
         for n in range(top + 1):
             rep.record(n, total.egf_coeff(n) == joint.egf_coeff(n),
                        f"fig3 sum at s={s},t={t}")
-    return rep
 
 
-def check_pattern_counts(n_max: int) -> VerificationReport:
+@_check("patterns", "pattern-counts", 0, 9)
+def check_pattern_counts(rep: VerificationReport, top: int):
     """closed_form_count equals the brute-force count for all 64 subsets."""
-    top = min(n_max, 9)
-    rep = VerificationReport("pattern-counts", (0, top), n_requested=n_max)
     for n in range(top + 1):
         for pats in patterns.all_pattern_sets():
             brute = patterns.count_class(n, pats, "desarrangements")
@@ -164,7 +177,6 @@ def check_pattern_counts(n_max: int) -> VerificationReport:
             rep.record(n, brute == formula,
                        f"{{{patterns.patterns_label(pats)}}}: "
                        f"formula {formula} vs brute {brute}")
-    return rep
 
 
 # (pattern, fact every desarrangement avoiding it satisfies, failure note)
@@ -176,16 +188,14 @@ _LEMMA_FACTS = (
 )
 
 
-def check_lemma_facts(n_max: int) -> VerificationReport:
+@_check("lemmas", "lemma-structure", 2, 9)
+def check_lemma_facts(rep: VerificationReport, top: int):
     """Structural facts about single-pattern desarrangement avoiders."""
-    top = min(n_max, 9)
-    rep = VerificationReport("lemma-structure", (2, top), n_requested=n_max)
     for n in range(2, top + 1):
         for sigma, fact, note in _LEMMA_FACTS:
             for p in avoiders(n, {sigma}, "desarrangements"):
                 rep.record(n, fact(p), f"{patterns.pattern_name(sigma)}-avoider {p}: {note}")
         rep.record(n, True)  # n with no avoiders at all still gets a verdict
-    return rep
 
 
 def _bijection_ok(b: patterns.Bijection, n: int) -> tuple[bool, str]:
@@ -227,10 +237,9 @@ def _bijection_ok(b: patterns.Bijection, n: int) -> tuple[bool, str]:
     return True, ""
 
 
-def check_bijections(n_max: int) -> VerificationReport:
+@_check("bijections", "bijections", 0, 8)
+def check_bijections(rep: VerificationReport, top: int):
     """Round-trips, displayed images, and the class cardinalities they prove."""
-    top = min(n_max, 8)
-    rep = VerificationReport("bijections", (0, top), n_requested=n_max)
     displayed = [
         ("321_insert", "forward", (4, 5, 1, 2, 3), (5, 1, 6, 2, 3, 4)),
         ("312_prepend", "forward", (3, 4, 2, 5, 6, 1), (4, 3, 5, 2, 6, 7, 1)),
@@ -239,8 +248,9 @@ def check_bijections(n_max: int) -> VerificationReport:
         ("123_132_213_trim", "forward", (6, 4, 5, 3, 1, 2), (5, 3, 4, 2, 1)),
     ]
     for name, direction, arg, want in displayed:
-        got = patterns.bijection(name, arg, direction)
-        rep.record(len(arg), got == want, f"{name}({arg}) = {got}, want {want}")
+        if len(arg) <= top:  # an example is a fact about its length
+            got = patterns.bijection(name, arg, direction)
+            rep.record(len(arg), got == want, f"{name}({arg}) = {got}, want {want}")
     for n in range(top + 1):
         for b in (*patterns.BIJECTIONS.values(), *patterns.SIMION_SCHMIDT):
             ok, msg = _bijection_ok(b, n)
@@ -252,13 +262,11 @@ def check_bijections(n_max: int) -> VerificationReport:
             d_n1 = patterns.count_class(n + 1, {sigma}, "desarrangements")
             rep.record(n, c_n == d_n + d_n1,
                        f"C_{n} != d_{n}({sigma_name}) + d_{n + 1}({sigma_name})")
-    return rep
 
 
-def check_specializations(n_max: int) -> VerificationReport:
+@_check("specializations", "specializations", 0, 8)
+def check_specializations(rep: VerificationReport, top: int):
     """Formula-level identities plus their brute-force shadows."""
-    top = min(n_max, 8)
-    rep = VerificationReport("specializations", (0, top), n_requested=n_max)
     tables = {tag: formulas.distribution_polynomials(tag, top).rows
               for tag in formulas.SPECIALIZATION_TAGS}
     for res in formulas.specialization_results(tables):
@@ -279,30 +287,15 @@ def check_specializations(n_max: int) -> VerificationReport:
         want2 = {(p_, d_): Fraction(c) for (p_, d_), c in joint.items()}
         got2 = dict(pkdes[n].entries)
         rep.record(n, got2 == want2, "joint pk,des vs brute")
-    return rep
 
 
-def check_equidistribution(n_max: int) -> VerificationReport:
+@_check("equidistribution", "equidistribution", 0, 8)
+def check_equidistribution(rep: VerificationReport, top: int):
     """The ten-set count identity and nine-set pix/fix evidence lists, judged
     by EquidistributionReport.failures."""
-    top = min(n_max, 8)
-    rep = VerificationReport("equidistribution", (0, top), n_requested=n_max)
     rep.record(top, True)
     for note in patterns.equidistribution_report(top).failures():
         rep.record(top, False, note)
-    return rep
-
-
-CHECKS = {
-    "table1": check_table1,
-    "tables": check_statistic_tables,
-    "run-theorem": check_run_theorem,
-    "patterns": check_pattern_counts,
-    "lemmas": check_lemma_facts,
-    "bijections": check_bijections,
-    "specializations": check_specializations,
-    "equidistribution": check_equidistribution,
-}
 
 
 def verify_all(n_max: int = 9, only: str | None = None) -> list[VerificationReport]:
@@ -310,18 +303,8 @@ def verify_all(n_max: int = 9, only: str | None = None) -> list[VerificationRepo
     if only is not None:
         if only not in CHECKS:
             raise ValueError(f"unknown check {only!r}; have {sorted(CHECKS)}")
-        return [_run_check(only, n_max)]
-    return [_run_check(name, n_max) for name in CHECKS]
-
-
-def _run_check(name: str, n_max: int) -> VerificationReport:
-    """One registered check; a miscopied formula makes it fail, not crash."""
-    try:
-        return CHECKS[name](n_max)
-    except formulas.TranscriptionError as exc:
-        rep = VerificationReport(name, (0, n_max))
-        rep.record(n_max, False, f"formula transcription: {exc}")
-        return rep
+        return [CHECKS[only](n_max)]
+    return [check(n_max) for check in CHECKS.values()]
 
 
 def all_ok(reports) -> bool:

@@ -201,3 +201,25 @@ def test_an_unlisted_agreeing_set_fails_the_conjecture(capsys, monkeypatch, argv
     assert run(capsys, *argv)[0] == 0
     monkeypatch.setattr(patterns, "PIXFIX_CONJECTURE_SETS", patterns.PIXFIX_CONJECTURE_SETS[1:])
     assert run(capsys, *argv)[0] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "1"],
+    ["conjecture"],
+    ["runthm", "fig1", "-i", "1", "-j", "3", "--order", "5", "--oracle"],
+    ["verify"],
+])
+def test_malformed_cap_is_a_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("DESARRANGE_CAP", "abc")
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "DESARRANGE_CAP" in err
+
+
+def test_cap_holds_after_a_warm_oracle_memo(capsys):
+    argv = ["runthm", "fig1", "-i", "1", "-j", "3", "--order", "5", "--oracle"]
+    assert cli.main(argv) == 0  # fills the descent-composition memo up to 5
+    capsys.readouterr()
+    assert cli.main(["--cap-override", "3", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1 and "oracle" not in captured.out

@@ -231,3 +231,28 @@ def test_avoiders_and_pattern_mask_reject_bad_input():
         perms.avoiders(3, [(1, 2, 4)])
     with pytest.raises(ValueError):
         perms.avoiders(3, [], "involutions")
+
+
+TALLY_VALUES = {
+    "des": perms.des,
+    "pk,des": lambda p: (perms.pk(p), perms.des(p)),
+    "fix": perms.fix,
+    "pix": perms.pix,
+    "descent_composition": descent_composition,
+    "constant": lambda p: None,
+}
+
+
+def test_tally_walk_and_stream_paths_match_the_census(monkeypatch):
+    # with CENSUS_MAX lowered to 4, lengths 5..7 take the avoider walk
+    # (nonempty sets) or the enumerate_class stream (empty set)
+    sets = [(), ((3, 2, 1),), ((1, 3, 2), (2, 1, 3)), ((1, 2, 3), (2, 3, 1), (3, 1, 2))]
+    cases = list(itertools.product(range(8), sets, perms.CLASSES, TALLY_VALUES))
+    want = {case: perms.tally(case[0], case[1], case[2], TALLY_VALUES[case[3]])
+            for case in cases}
+    built = perms._census.cache_info().misses
+    monkeypatch.setattr(perms, "CENSUS_MAX", 4)
+    for case in cases:
+        n, pats, klass, name = case
+        assert perms.tally(n, pats, klass, TALLY_VALUES[name]) == want[case], case
+    assert perms._census.cache_info().misses == built  # no census above the patched limit

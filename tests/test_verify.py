@@ -154,3 +154,22 @@ def test_bijections_round_trip_beyond_verify_range(data):
         shift = len(q) - n
         assert shift in b.shifts
         assert patterns.bijection(name, q, "inverse", grow=-shift) == p
+
+
+def test_transcription_failure_keeps_the_checks_subject_and_range(monkeypatch, capsys):
+    from desarrange import cli
+    monkeypatch.setitem(formulas.FORMULAS, "des",
+                        (1, lambda t, order: formulas._des(t, order) / t))
+    assert cli.main(["verify", "--only", "tables", "--n-max", "12"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL statistic-tables (n=0..9)\n")
+    assert cli.main(["verify", "--only", "tables", "--n-max", "12", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert report["n_range"] == [0, 9] and report["n_requested"] == 12
+    assert report["clamped"] is True
+
+
+@pytest.mark.parametrize("n_max", [0, 3, 5])
+def test_verdicts_lie_inside_the_reported_range(n_max):
+    for report in verify.verify_all(n_max):
+        lo, hi = report.n_range
+        assert all(lo <= n <= hi for n in report.verdicts), (report.subject, report.verdicts)
