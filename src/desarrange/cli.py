@@ -149,10 +149,11 @@ def cmd_runthm(args) -> int:
     correction = CORRECTIONS[args.correction](args.order)
     series = series + correction
     values = [series.egf_coeff(n) for n in range(args.order + 1)]
-    _emit(",".join(format_rational(v) for v in values))
-    if args.oracle:
+    if args.oracle:  # ahead of any output, so an over-cap run prints nothing
         direct = [rungraph.oracle_weight_sum(spec, args.i, args.j, n, t=args.t, s=args.s)
                   + correction.egf_coeff(n) for n in range(args.order + 1)]
+    _emit(",".join(format_rational(v) for v in values))
+    if args.oracle:
         _emit(",".join(format_rational(v) for v in direct))
         if direct != values:
             _emit("oracle: MISMATCH")

@@ -19,6 +19,7 @@ import functools
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -101,13 +102,17 @@ class Edge:
     def admits(self, k: int) -> bool:
         return any(k in case.guard for case in self.cases)
 
-    def weight(self, k: int, t: Fraction, s: Fraction) -> Fraction | None:
-        """Weight of part k, or None when k is not an admissible part here."""
+    def exponents(self, k: int) -> tuple[int, int] | None:
+        """(t-exponent, s-exponent) of part k, or None when k is not an admissible part here."""
         for case in self.cases:
             if k in case.guard:
-                et, es = case.exponents(k)
-                return Fraction(t) ** et * Fraction(s) ** es
+                return case.exponents(k)
         return None
+
+    def weight(self, k: int, t: Fraction, s: Fraction) -> Fraction | None:
+        """Weight of part k, or None when k is not an admissible part here."""
+        ex = self.exponents(k)
+        return None if ex is None else Fraction(t) ** ex[0] * Fraction(s) ** ex[1]
 
 
 @dataclass(frozen=True)
@@ -169,31 +174,44 @@ def _guard_overlap(a: PartSet, b: PartSet) -> int | None:
 
 # --- admissibility ---
 
-def _weighted_dp(spec: RunGraphSpec, i: int, parts, t: Fraction, s: Fraction):
-    """Dynamic program over the parts: vertex -> (path count, product weight).
+def _path_dp(spec: RunGraphSpec, i: int, parts):
+    """Dynamic program over the parts: vertex -> (path count, (t-exponent, s-exponent)).
 
-    The weight slot is None as soon as two paths merge; it only matters if
+    The exponent slot is None as soon as two paths merge; it only matters if
     the multiplicity survives to the queried end vertex, which would violate
     the run-theorem hypothesis anyway.
     """
-    state: dict[int, tuple[int, Fraction | None]] = {i: (1, Fraction(1))}
+    state: dict[int, tuple[int, tuple[int, int] | None]] = {i: (1, (0, 0))}
     for k in parts:
-        nxt: dict[int, tuple[int, Fraction | None]] = {}
-        for v, (cnt, w) in state.items():
+        nxt: dict[int, tuple[int, tuple[int, int] | None]] = {}
+        for v, (cnt, ex) in state.items():
             for e in spec.edges_from(v):
-                wk = e.weight(k, t, s)
-                if wk is None:
+                ek = e.exponents(k)
+                if ek is None:
                     continue
-                new_w = None if w is None else w * wk
                 if e.dst in nxt:
                     c0, _ = nxt[e.dst]
                     nxt[e.dst] = (c0 + cnt, None)
                 else:
-                    nxt[e.dst] = (cnt, new_w)
+                    nxt[e.dst] = (cnt, None if ex is None else (ex[0] + ek[0], ex[1] + ek[1]))
         if not nxt:
             return {}
         state = nxt
     return state
+
+
+def _path_exponents(spec: RunGraphSpec, i: int, j: int, parts) -> tuple[int, int] | None:
+    """Exponents of the unique (i,j)-admissible path reading the parts, or None.
+
+    Raises HypothesisViolationError when there is more than one such path.
+    """
+    state = _path_dp(spec, i, parts)
+    if j not in state:
+        return None
+    cnt, ex = state[j]
+    if cnt > 1:
+        raise HypothesisViolationError(parts, i, j)
+    return ex
 
 
 def composition_weight(spec: RunGraphSpec, i: int, j: int, composition,
@@ -203,17 +221,10 @@ def composition_weight(spec: RunGraphSpec, i: int, j: int, composition,
     Raises HypothesisViolationError when the composition is admissible along
     more than one path from i to j.
     """
-    parts = tuple(composition)
-    if not parts:
-        return Fraction(1) if i == j else Fraction(0)
-    state = _weighted_dp(spec, i, parts, Fraction(t), Fraction(s))
-    if j not in state:
+    ex = _path_exponents(spec, i, j, tuple(composition))
+    if ex is None:
         return Fraction(0)
-    cnt, w = state[j]
-    if cnt > 1:
-        raise HypothesisViolationError(parts, i, j)
-    assert w is not None
-    return w
+    return Fraction(t) ** ex[0] * Fraction(s) ** ex[1]
 
 
 @dataclass(frozen=True)
@@ -248,10 +259,10 @@ def validate_unique_admissibility(spec: RunGraphSpec, max_size: int) -> Admissib
     sizes in increasing order, then the compositions of one size with the
     largest first part first, then the largest second part and so on, then
     start vertices i in increasing order, then end vertices j in the dict
-    order of _weighted_dp.  The witness composition is rebuilt greedily,
+    order of _path_dp.  The witness composition is rebuilt greedily,
     largest part first, keeping only states from which a violation can be
     finished with exactly the size that remains; i and j are then picked by
-    running _weighted_dp on it.
+    running _path_dp on it.
     """
     # moves[k][u]: the ends of the edges out of u whose guards admit part k
     moves = [None] + [
@@ -265,7 +276,7 @@ def validate_unique_admissibility(spec: RunGraphSpec, max_size: int) -> Admissib
         if any(u == v and d for u, v, d in reach[total]):
             comp = _first_violating_composition(spec, moves, total)
             for i in range(1, spec.dim + 1):
-                state = _weighted_dp(spec, i, comp, Fraction(1), Fraction(1))
+                state = _path_dp(spec, i, comp)
                 for j, (cnt, _) in state.items():
                     if cnt > 1:
                         return AdmissibilityReport(False, max_size, (comp, i, j))
@@ -350,15 +361,27 @@ def oracle_weight_sum(spec: RunGraphSpec, i: int, j: int, n: int, t=1, s=1) -> F
     """Sum of composition_weight over the descent compositions of all of S_n.
 
     Independent of the matrix pipeline; must equal n! times the x^n
-    coefficient of run_theorem_egf.
+    coefficient of run_theorem_egf.  A composition's weight is t^a * s^b
+    for the exponents (a, b) of its one path, so S_n is grouped by (a, b)
+    once per (spec, i, j, n) and only the groups see t and s.
     """
+    check_cap(n)  # ahead of the memo, as in descent_composition_counts
     t, s = Fraction(t), Fraction(s)
     total = Fraction(0)
-    for comp, count in descent_composition_counts(n).items():
-        w = composition_weight(spec, i, j, comp, t, s)
-        if w:
-            total += count * w
+    for (a, b), count in _exponent_counts(spec, i, j, n).items():
+        total += count * t ** a * s ** b
     return total
+
+
+@functools.lru_cache(maxsize=None)
+def _exponent_counts(spec: RunGraphSpec, i: int, j: int, n: int) -> dict[tuple[int, int], int]:
+    """How many permutations of 1..n have an (i,j) path of each exponent pair."""
+    out = Counter()
+    for comp, count in descent_composition_counts(n).items():
+        ex = _path_exponents(spec, i, j, comp)
+        if ex is not None:
+            out[ex] += count
+    return dict(out)
 
 
 # --- JSON schema ---

@@ -187,13 +187,31 @@ def test_contains_mask_reference_agrees_with_contains_pattern():
 
 def test_census_matches_per_permutation_counter():
     from collections import Counter
-    for n in range(8):
+    for n in range(9):
         counts, first = Counter(), {}
         for p in enumerate_class(n):
             key = (contains_mask(p), descent_word(p), perms.fix(p))
             counts[key] += 1
             first.setdefault(key, p)
-        assert dict(perms.census(n)) == {key: (c, first[key]) for key, c in counts.items()}, n
+        want = [(key, (c, first[key])) for key, c in counts.items()]
+        assert list(perms.census(n).items()) == want, n
+
+
+def test_tail_memo_changes_no_walk(monkeypatch):
+    # TAIL = 0 walks every prefix; the memo must give the same keys, counts,
+    # first members and members, in the same order
+    memo_tail = perms.TAIL
+    assert memo_tail > 0
+    for n in range(9):
+        for forbid in range(64):
+            pats = [sigma for k, sigma in enumerate(perms.PATTERNS) if forbid >> k & 1]
+            for klass in perms.CLASSES:
+                got = []
+                for tail in (memo_tail, 0):
+                    monkeypatch.setattr(perms, "TAIL", tail)
+                    got.append((list(perms._keyed(n, forbid, klass).items()),
+                                perms.avoiders(n, pats, klass)))
+                assert got[0] == got[1], (n, forbid, klass)
 
 
 def test_census_cap(monkeypatch):

@@ -106,7 +106,7 @@ def exhaustive_admissibility(spec, max_size):
     for total in range(1, max_size + 1):
         for comp in _compositions_of(total):
             for i in range(1, spec.dim + 1):
-                state = rungraph._weighted_dp(spec, i, comp, Fraction(1), Fraction(1))
+                state = rungraph._path_dp(spec, i, comp)
                 for j, (cnt, _) in state.items():
                     if cnt > 1:
                         return AdmissibilityReport(False, max_size, (comp, i, j))
@@ -250,6 +250,34 @@ def test_oracle_matches_pipeline():
             egf = run_theorem_egf(spec, i, j, t=t, s=s, order=7)
             for n in range(8):
                 assert egf.egf_coeff(n) == oracle_weight_sum(spec, i, j, n, t=t, s=s)
+
+
+def reference_weight_sum(spec, i, j, n, t, s):
+    """The oracle as one composition_weight per descent composition of S_n."""
+    total = Fraction(0)
+    for comp, count in rungraph.descent_composition_counts(n).items():
+        w = composition_weight(spec, i, j, comp, t, s)
+        if w:
+            total += count * w
+    return total
+
+
+def test_oracle_weight_sum_matches_per_composition_weights():
+    # the (t, s) points of verify's run-theorem check
+    points = [(1, 1), (2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 5)]
+    for name in rungraph.BUILTIN_SPECS:
+        spec = builtin_spec(name)
+        for i, j in itertools.product(range(1, spec.dim + 1), repeat=2):
+            for t, s in points:
+                for n in range(9):
+                    assert (oracle_weight_sum(spec, i, j, n, t=t, s=s)
+                            == reference_weight_sum(spec, i, j, n, Fraction(t), Fraction(s))), \
+                        (name, i, j, t, s, n)
+
+
+def test_oracle_weight_sum_rejects_an_ambiguous_spec():
+    with pytest.raises(HypothesisViolationError):
+        oracle_weight_sum(ambiguous_spec(), 1, 2, 2)
 
 
 def case(progressions=(), extras=(), t_exp=(0, 0), s_exp=(0, 0)):
