@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -430,6 +431,16 @@ def simion_schmidt(p) -> Perm:
     smallest unused value exceeding the running minimum.
     """
     _require(avoids(p, {P123}), "input must avoid 123")
+    return _simion_schmidt(p)
+
+
+def simion_schmidt_inverse(q) -> Perm:
+    """Inverse map: non-minima receive the largest unused value instead."""
+    _require(avoids(q, {P132}), "input must avoid 132")
+    return _simion_schmidt_inverse(q)
+
+
+def _simion_schmidt(p) -> Perm:
     used = set()
     out = []
     cur_min = len(p) + 1
@@ -446,9 +457,7 @@ def simion_schmidt(p) -> Perm:
     return tuple(out)
 
 
-def simion_schmidt_inverse(q) -> Perm:
-    """Inverse map: non-minima receive the largest unused value instead."""
-    _require(avoids(q, {P132}), "input must avoid 132")
+def _simion_schmidt_inverse(q) -> Perm:
     n = len(q)
     used = set()
     out = []
@@ -467,9 +476,10 @@ def simion_schmidt_inverse(q) -> Perm:
 
 
 # Simion-Schmidt as proof records, over S_n and restricted to desarrangements;
-# they stay out of BIJECTIONS, whose names bijection() accepts
+# they stay out of BIJECTIONS, whose names bijection() accepts.  Like every
+# BIJECTIONS row they run the unguarded maps: the row states the domain.
 SIMION_SCHMIDT = tuple(
-    Bijection(f"simion_schmidt({klass})", simion_schmidt, simion_schmidt_inverse,
+    Bijection(f"simion_schmidt({klass})", _simion_schmidt, _simion_schmidt_inverse,
               _av("123", klass), _av("132", klass), (0,),
               "123-avoiders onto 132-avoiders, keeping the left-to-right minima")
     for klass in ("all", "desarrangements"))
@@ -555,6 +565,15 @@ def equidistribution_report(n_max: int = 8) -> EquidistributionReport:
     only: agreement up to n_max proves nothing beyond it.
     """
     report = EquidistributionReport(n_max=n_max)
+    pix_by_descents = {}  # pix reads only n and the descent set, which the 41 sets share
+
+    def fix_pix(p):
+        key = (len(p), *map(operator.gt, p, p[1:]))
+        px = pix_by_descents.get(key)
+        if px is None:
+            px = pix_by_descents[key] = pix(p)
+        return fix(p), px
+
     for size in (1, 2, 3):
         for combo in itertools.combinations(PATTERNS, size):
             pats = frozenset(combo)
@@ -563,7 +582,7 @@ def equidistribution_report(n_max: int = 8) -> EquidistributionReport:
             for n in range(n_max + 1):
                 fix_dist = Counter()
                 pix_dist = Counter()
-                for (fx, px), c in tally(n, pats, "all", lambda p: (fix(p), pix(p))).items():
+                for (fx, px), c in tally(n, pats, "all", fix_pix).items():
                     fix_dist[fx] += c
                     pix_dist[px] += c
                 # derangements have no fixed point, desarrangements no pixed point

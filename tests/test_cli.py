@@ -3,8 +3,9 @@ import os
 import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from desarrange import cli, patterns
+from desarrange import cli, patterns, verify
 
 from reference_tables import derangement_numbers
 
@@ -224,3 +225,87 @@ def test_cap_holds_after_a_warm_oracle_memo(capsys):
     assert cli.main(["--cap-override", "3", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.err.count("error:") == 1 and "oracle" not in captured.out
+
+
+# --- fuzzing the whole command line ---
+
+RATIONALS = st.sampled_from(["0", "2", "3/2", "-1/3", "1/0", "x", "", "1/3/4", "1e3"])
+SIZES = st.integers(-2, 6).map(str)
+PATTERN_SPECS = st.sampled_from(["123", "132,312", "{213,321}", "", "12", "1234", "abc",
+                                 "123,,321", "321,321", "1,2,3", "123;321", "d(123)"])
+MALFORMED_SPECS = {
+    "not_json.json": b"{dim: 3",
+    "list.json": b"[1, 2, 3]",
+    "empty.json": b"{}",
+    "not_utf8.json": b"\xff\xfe",
+    "dim_text.json": json.dumps({**_fig2_json(), "dim": "two"}).encode(),
+    "no_edges.json": json.dumps({"name": "x", "dim": 2}).encode(),
+    "negative_part.json": json.dumps({"name": "x", "dim": 1, "edges": [
+        {"from": 1, "to": 1, "cases": [{"parts": {"progressions": [], "extras": [-1]},
+                                        "t_exp": [0, 0], "s_exp": [0, 0]}]}]}).encode(),
+}
+
+
+def _option(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+def _joined(name, values):
+    # "-t=-1/3": a value after a separate "-t" that starts with "-" reads as an option
+    return st.one_of(st.just([]), values.map(lambda v: [f"{name}={v}"]))
+
+
+def _argv(spec_dir):
+    specs = st.sampled_from(["fig1", "fig2", "fig3", "fig4", str(SPECS / "fig3.json"),
+                             str(spec_dir / "missing.json"),
+                             *(str(spec_dir / name) for name in MALFORMED_SPECS)])
+    tables_cmd = st.tuples(st.just(["tables"]), st.sampled_from(["0", "1", "2", "4", "7", "8", "x"]),
+                           _option("--n-max", SIZES),
+                           _option("--format", st.sampled_from(["text", "csv", "json", "xml"])))
+    # verify and conjecture default to n_max 9 and 8, runthm to order 8: too slow here
+    verify_cmd = st.tuples(st.just(["verify", "--n-max"]), SIZES.map(lambda v: [v]),
+                           _option("--only", st.sampled_from([*sorted(verify.CHECKS), "nope"])),
+                           _option("--format", st.sampled_from(["text", "json", "csv"])))
+    runthm_cmd = st.tuples(st.just(["runthm"]), specs.map(lambda v: [v]),
+                           SIZES.map(lambda v: ["-i", v]), SIZES.map(lambda v: ["-j", v]),
+                           _joined("-t", RATIONALS), _joined("-s", RATIONALS),
+                           SIZES.map(lambda v: ["--order", v]),
+                           st.sampled_from([[], ["--oracle"]]),
+                           _option("--correction",
+                                   st.sampled_from(["cosh", "one", "none", "sinh"])))
+    seq_cmd = st.tuples(st.just(["seq"]),
+                        st.one_of(st.sampled_from([*patterns.SEQUENCE_IDS, "lucas", ""]),
+                                  PATTERN_SPECS.map(lambda text: f"d({text})")).map(
+                                      lambda v: [v]),
+                        SIZES.map(lambda v: [v]))
+    conjecture_cmd = st.tuples(st.just(["conjecture", "--n-max"]), SIZES.map(lambda v: [v]),
+                               _option("--format", st.sampled_from(["text", "json", "csv"])))
+    command = st.one_of(tables_cmd, verify_cmd, runthm_cmd, seq_cmd, conjecture_cmd)
+    return st.tuples(_option("--cap-override", SIZES), command).map(
+        lambda parts: [word for group in (parts[0], *parts[1]) for word in group])
+
+
+@pytest.fixture
+def spec_dir(tmp_path):
+    for name, data in MALFORMED_SPECS.items():
+        (tmp_path / name).write_bytes(data)
+    return tmp_path
+
+
+# the fixtures are set up once for all examples: the spec files are only
+# read, and each example clears the captured output before it runs
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_fuzz_exits_cleanly(capsys, monkeypatch, spec_dir, data):
+    monkeypatch.delenv("DESARRANGE_CAP", raising=False)
+    argv = data.draw(_argv(spec_dir))
+    capsys.readouterr()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+        assert code == 2, argv
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in captured.out + captured.err, argv

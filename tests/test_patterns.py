@@ -275,6 +275,16 @@ def test_simion_schmidt():
         assert len(images) == count_class(n, {patterns.P132}, "all")
 
 
+def test_simion_schmidt_records_run_the_public_maps():
+    # the records skip the guards, not the map
+    for b in patterns.SIMION_SCHMIDT:
+        for n in range(8):
+            for p in avoiders(n, {patterns.P123}):
+                assert b.forward(p) == simion_schmidt(p), (b.name, p)
+            for q in avoiders(n, {patterns.P132}):
+                assert b.inverse(q) == simion_schmidt_inverse(q), (b.name, q)
+
+
 def test_equidistribution_report():
     report = equidistribution_report(6)
     assert len(report.entries) == 41

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from desarrange import perms
 from desarrange.perms import (
@@ -81,6 +82,22 @@ def test_pixed_factorization_roundtrip_and_uniqueness():
             assert p[: f.iota_len] + f.delta == p
             assert all(v < w for v, w in zip(p[: f.iota_len], p[1: f.iota_len]))
             assert is_desarrangement(f.delta)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_pixed_factorization_property(p):
+    # beyond the exhaustive n <= 8: iota . delta recomposes p, iota is
+    # increasing, delta is a desarrangement, and no other length splits p so
+    p = tuple(p)
+    f = pixed_factorization(p)
+    k = f.iota_len
+    assert p[:k] + f.delta == p
+    assert all(v < w for v, w in zip(p[:k], p[1:k]))
+    assert is_desarrangement(f.delta)
+    splits = [j for j in range(len(p) + 1)
+              if all(v < w for v, w in zip(p[:j], p[1:j])) and is_desarrangement(p[j:])]
+    assert splits == [k]
 
 
 def test_statistic_identities():
@@ -199,19 +216,47 @@ def test_census_matches_per_permutation_counter():
 
 def test_tail_memo_changes_no_walk(monkeypatch):
     # TAIL = 0 walks every prefix; the memo must give the same keys, counts,
-    # first members and members, in the same order
+    # first members and members, in the same order, at lengths 8 and 9
     memo_tail = perms.TAIL
-    assert memo_tail > 0
+    assert memo_tail > 0 and perms.MEMO_FROM <= 8
+    cases = [(n, forbid) for n in range(9) for forbid in range(64)]
+    cases += [(9, forbid) for forbid in (1, 18, 32, 56)]  # 123; 132,312; 321; 231,312,321
+    for n, forbid in cases:
+        pats = [sigma for k, sigma in enumerate(perms.PATTERNS) if forbid >> k & 1]
+        for klass in perms.CLASSES:
+            got = []
+            for tail in (memo_tail, 0):
+                monkeypatch.setattr(perms, "TAIL", tail)
+                got.append((list(perms._keyed(n, forbid, klass).items()),
+                            perms.avoiders(n, pats, klass)))
+            assert got[0] == got[1], (n, forbid, klass)
+
+
+def _by_descent_word_and_fix(keyed, keep):
+    """[((descent word, fix), [count, first member])] over the kept keys, in
+    the order of their first members."""
+    groups = {}
+    for (mask, dw, fx), (count, p) in keyed.items():
+        if keep(mask, p):
+            groups.setdefault((dw, fx), [0, p])[0] += count
+    return list(groups.items())
+
+
+def test_avoider_walks_regroup_to_the_census():
+    # an avoider walk tracks only the forbidden patterns, so its masks are 0;
+    # grouped by (descent word, fix) it must still give the census's counts,
+    # first members and order over the avoiders in the class
     for n in range(9):
-        for forbid in range(64):
-            pats = [sigma for k, sigma in enumerate(perms.PATTERNS) if forbid >> k & 1]
+        census = perms.census(n)
+        for forbid in range(1, 64):
             for klass in perms.CLASSES:
-                got = []
-                for tail in (memo_tail, 0):
-                    monkeypatch.setattr(perms, "TAIL", tail)
-                    got.append((list(perms._keyed(n, forbid, klass).items()),
-                                perms.avoiders(n, pats, klass)))
-                assert got[0] == got[1], (n, forbid, klass)
+                member = perms.class_predicate(klass)
+                walked = perms._keyed(n, forbid, klass)
+                assert all(mask == 0 for mask, _, _ in walked), (n, forbid, klass)
+                want = _by_descent_word_and_fix(
+                    census, lambda mask, p: not mask & forbid and member(p))
+                got = _by_descent_word_and_fix(walked, lambda mask, p: True)
+                assert got == want, (n, forbid, klass)
 
 
 def test_census_cap(monkeypatch):
