@@ -5,11 +5,12 @@ them into distribution polynomials.
 Statistic variables are never handled symbolically: a formula is evaluated
 at concrete rational points of t (and s), giving plain rational x-series,
 and the degree-bounded distribution polynomial of each row is recovered by
-exact interpolation by Newton divided differences (O(n^2) rational
-operations for a degree-n row).  Every row n of a table with rows
-0..n_max goes through all n_max + 2 sample points, n + 1 of which
-determine it; the other n_max + 1 - n are spare points that double as a
-transcription check.
+exact interpolation (series.interpolate_rows: the rows of a table share
+one node set, whose divided-difference weights are computed once, and each
+degree-n row then costs O(n_max^2) integer operations).  Every row n of a
+table with rows 0..n_max goes through all n_max + 2 sample points, n + 1
+of which determine it; the other n_max + 1 - n are spare points that
+double as a transcription check.
 
 Every formula that the source material states with a square root
 (sqrt(1-t), or the combined radicals in the double-ascent/descent and
@@ -41,7 +42,7 @@ from fractions import Fraction
 
 from .series import (
     ConstantTermError, InterpolationError, Poly, TruncSeries,
-    cosh_even, exp_series, format_rational, interpolate, poly_series, sinh_even_div,
+    cosh_even, exp_series, format_rational, interpolate_rows, poly_series, sinh_even_div,
 )
 
 
@@ -315,48 +316,62 @@ def good_t_points(tag: str, count: int, order: int, s=None):
     return out
 
 
-def _interp_row(points, n: int, what: str = "") -> Poly:
-    """Degree-n interpolant whose coefficients must all be counts."""
-    where = f"row {n}, {what}" if what else f"row {n}"
-    try:
-        poly = interpolate(points, n)
-    except InterpolationError as exc:
-        raise TranscriptionError(f"{where}: {exc}") from exc
-    for c in poly.coeffs:
-        if c.denominator != 1 or c < 0:
-            raise TranscriptionError(f"{where}: coefficient {c} not a count")
-    return poly
+def _count_rows(xs, rows, bounds, wheres):
+    """Yield the interpolants of interpolate_rows(xs, rows, bounds), whose
+    coefficients must all be counts; wheres names each row in errors."""
+    fits = interpolate_rows(xs, rows, bounds)
+    for where in wheres:
+        try:
+            poly = next(fits)
+        except InterpolationError as exc:
+            raise TranscriptionError(f"{where}: {exc}") from exc
+        for c in poly.coeffs:
+            if c.denominator != 1 or c < 0:
+                raise TranscriptionError(f"{where}: coefficient {c} not a count")
+        yield poly
+
+
+def _sampled_rows(points, n_max: int):
+    """Degree-n interpolants of the EGF values n! [x^n] at the points, n = 0..n_max."""
+    xs = [v for v, _ in points]
+    rows = ([ser.egf_coeff(n) for _, ser in points] for n in range(n_max + 1))
+    return _count_rows(xs, rows, range(n_max + 1), (f"row {n}" for n in range(n_max + 1)))
 
 
 def distribution_polynomials(tag: str, n_max: int) -> DistributionTable:
-    """Rows 0..n_max of the distribution encoded by the named formula."""
+    """Rows 0..n_max of the distribution encoded by the named formula.
+
+    Each node set is fitted once for all rows (series.interpolate_rows).
+    """
     arity = FORMULAS[tag][0]
     if arity == 0:
         raise ValueError(f"{tag} carries no statistic variable")
     order = n_max + 1
-    rows = {}
     if arity == 1:
         pts = good_t_points(tag, n_max + 2, order)
-        for n in range(n_max + 1):
-            rows[n] = _interp_row([(t, ser.egf_coeff(n)) for t, ser in pts], n)
-        return DistributionTable(tag, rows)
+        return DistributionTable(tag, dict(enumerate(_sampled_rows(pts, n_max))))
 
-    # two variables: per-s interpolation in t, then interpolation in s
+    # two variables: per-s interpolation in t, then interpolation in s; the
+    # row-n fits in t run just before the row-n fits in s that read them
     s_values = [Fraction(v) for v in range(2, 2 + n_max + 2)]
-    per_s = [(sv, good_t_points(tag, n_max + 2, order, s=sv)) for sv in s_values]
-    for n in range(n_max + 1):
-        t_polys = []
-        for sv, pts in per_s:
-            t_polys.append((sv, _interp_row([(t, ser.egf_coeff(n)) for t, ser in pts], n)))
-        entries = {}
-        for j in range(n + 1):  # t-exponent
-            s_points = [(sv, poly.coeff(j)) for sv, poly in t_polys]
-            s_poly = _interp_row(s_points, n, f"t^{j} coefficient in s")
-            for i, c in enumerate(s_poly.coeffs):
-                if c:
-                    entries[(i, j)] = c
-        rows[n] = BivarPoly(entries)
-    return DistributionTable(tag, rows)
+    t_fits = [_sampled_rows(good_t_points(tag, n_max + 2, order, s=sv), n_max)
+              for sv in s_values]
+
+    def s_rows():  # for each n and t-exponent j <= n, the t^j coefficients across s
+        for n in range(n_max + 1):
+            t_polys = [next(fits) for fits in t_fits]
+            for j in range(n + 1):
+                yield [poly.coeff(j) for poly in t_polys]
+
+    keys = [(n, j) for n in range(n_max + 1) for j in range(n + 1)]
+    s_polys = _count_rows(s_values, s_rows(), [n for n, _ in keys],
+                          (f"row {n}, t^{j} coefficient in s" for n, j in keys))
+    entries = {n: {} for n in range(n_max + 1)}
+    for (n, j), s_poly in zip(keys, s_polys):
+        for i, c in enumerate(s_poly.coeffs):
+            if c:
+                entries[n][(i, j)] = c
+    return DistributionTable(tag, {n: BivarPoly(e) for n, e in entries.items()})
 
 
 def rval_polynomials(n_max: int) -> DistributionTable:
@@ -413,12 +428,8 @@ def specialization_results(tables: dict) -> list[CheckResult]:
     results.append(CheckResult("joint_pix_des at s=0 equals des rows", ok, msg))
 
     # fix rows of e^{(s-1)x}/(1-x), recovered by interpolation in s
-    fix_pts = []
-    for v in range(2, n_max + 4):
-        fix_pts.append((Fraction(v), fix_egf(v, order)))
-    fix_rows = {}
-    for n in range(n_max + 1):
-        fix_rows[n] = _interp_row([(sv, ser.egf_coeff(n)) for sv, ser in fix_pts], n)
+    fix_pts = [(Fraction(v), fix_egf(v, order)) for v in range(2, n_max + 4)]
+    fix_rows = dict(enumerate(_sampled_rows(fix_pts, n_max)))
     ok, msg = rows_equal({n: pixdes[n].substitute_t(1) for n in pixdes}, fix_rows)
     results.append(CheckResult("joint_pix_des at t=1 equals fix rows", ok, msg))
 

@@ -15,8 +15,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .perms import (  # pattern_mask is re-exported
-    PATTERNS, Perm, class_predicate, contains_pattern, fix, is_desarrangement, pattern_mask,
-    pix, standardize, tally,
+    PATTERNS, Perm, class_count, class_predicate, contains_pattern, fix, is_desarrangement,
+    pattern_mask, pix, standardize, tally,
 )
 
 P123, P132, P213, P231, P312, P321 = PATTERNS
@@ -66,7 +66,7 @@ def avoids(p, patterns) -> bool:
 
 def count_class(n: int, patterns, klass: str = "desarrangements") -> int:
     """Brute-force size of the avoidance class within the given permutation class."""
-    return sum(tally(n, patterns, klass, lambda p: None).values())
+    return class_count(n, patterns, klass)
 
 
 # --- classical sequences (indexing pinned to the tables in use) ---

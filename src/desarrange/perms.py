@@ -516,7 +516,8 @@ def _walk(n: int, forbid: int, klass: str, visit):
 
 
 def census(n: int):
-    """Counter over S_n keyed (pattern mask, descent word, fix), read by tally.
+    """Counter over S_n keyed (pattern mask, descent word, fix), read by tally
+    and class_count.
 
     Each key maps to (count, first member in lexicographic order).  The
     descent word is the int whose binary digits, most significant first,
@@ -591,6 +592,37 @@ def tally(n: int, patterns, klass: str, value) -> dict:
         if member(p):
             out[value(p)] += count
     return dict(out)
+
+
+def class_count(n: int, patterns, klass: str) -> int:
+    """Number of members of the class avoiding every given pattern: the total
+    of any tally with the same arguments.
+
+    Up to CENSUS_MAX it adds the class's counts by pattern mask over the
+    masks disjoint from the forbidden set; those counts are folded from the
+    census once per (n, klass).  Above it, it is the total of one tally.
+    Lengths above the enumeration cap raise CapExceededError.
+
+    >>> class_count(5, {(3, 2, 1)}, "desarrangements")
+    14
+    """
+    forbid = pattern_mask(patterns)
+    class_predicate(klass)  # rejects an unknown class
+    check_cap(n)  # ahead of the memo, so a warm memo cannot escape a lower cap
+    if n > CENSUS_MAX:
+        return sum(tally(n, patterns, klass, lambda p: None).values())
+    return sum(count for mask, count in _mask_counts(n, klass).items() if not mask & forbid)
+
+
+@functools.lru_cache(maxsize=None)
+def _mask_counts(n: int, klass: str):
+    """{pattern mask: members of the class whose contained patterns are that mask}."""
+    member = class_predicate(klass)
+    out = Counter()
+    for (mask, _, _), (count, p) in _census(n).items():
+        if member(p):  # membership depends only on the key's descent word and fix
+            out[mask] += count
+    return MappingProxyType(dict(out))
 
 
 def avoiders(n: int, patterns, klass: str = "all") -> list[Perm]:

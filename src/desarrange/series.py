@@ -1,16 +1,29 @@
 """
 Truncated power series and polynomials over exact rationals.
 
-A TruncSeries of order N stores the coefficients of x^0 .. x^N as
-fractions.Fraction values; every ring operation truncates back to order N.
-Arithmetic is only defined between series of equal order.  SeriesMatrix
-wraps a square grid of equal-order series and supports inversion by
-Gaussian elimination, which only needs the constant-term matrix to be
-invertible over the rationals.
+A TruncSeries of order N stands for the coefficients c_0 .. c_N of x^0 ..
+x^N.  It stores them in the EGF scaling, as the integers k! * c_k over one
+positive common denominator reduced by their gcd, so the series of
+exp(c*x) at an integer c is just the powers c^k over 1.  Every ring
+operation works on these integers and truncates back to order N: a sum
+over the lcm of the denominators, a product as a binomial convolution, an
+inverse by an all-integer recurrence.  The rational coefficients are
+derived on first use.  Arithmetic is only defined between series of equal
+order.  SeriesMatrix wraps a square grid of equal-order series and supports
+inversion by Gaussian elimination, which only needs the constant-term
+matrix to be invertible over the rationals.
+
+interpolate_rows fits many rows of values on one shared set of nodes: it
+computes the integer weights of every divided difference once, and then
+each row costs O(m^2) integer operations for m nodes.  Points beyond a
+row's degree bound are its check: every divided difference above the
+bound must vanish.  interpolate is its one-row case.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
 Rat = Fraction
@@ -40,10 +53,32 @@ def _as_fraction(v) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(v).__name__}")
 
 
-class TruncSeries:
-    """Power series in x truncated at a fixed order, with rational coefficients."""
+@functools.lru_cache(maxsize=None)
+def _binomials(order: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..order of Pascal's triangle, built on first use per order."""
+    rows = [(1,)]
+    for m in range(1, order + 1):
+        prev = rows[-1]
+        rows.append((1,) + tuple(map(operator.add, prev, prev[1:])) + (1,))
+    return tuple(rows)
 
-    __slots__ = ("order", "coeffs")
+
+def _over_lcm(values) -> tuple[list[int], int]:
+    """Integer numerators over the lcm of the denominators: values == nums / den."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+class TruncSeries:
+    """Power series in x truncated at a fixed order, with rational coefficients.
+
+    Stored in the EGF scaling: the coefficient c_k of x^k is
+    _num[k] / (k! * _den), with integer numerators over one positive
+    denominator that shares no factor with all of them.  The form is
+    canonical, so equal series have equal numerators and denominators.
+    """
+
+    __slots__ = ("order", "_num", "_den", "_coeffs")
 
     def __init__(self, coeffs, order: int | None = None):
         coeffs = [_as_fraction(c) for c in coeffs]
@@ -53,9 +88,28 @@ class TruncSeries:
             order = len(coeffs) - 1
         if len(coeffs) > order + 1:
             raise ValueError(f"{len(coeffs)} coefficients exceed order {order}")
-        coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
+        scaled, fact = [], 1
+        for k, c in enumerate(coeffs):
+            fact *= k or 1
+            scaled.append(c * fact)
+        num, den = _over_lcm(scaled)  # already canonical
         self.order = order
-        self.coeffs = tuple(coeffs)
+        self._num = tuple(num) + (0,) * (order + 1 - len(num))
+        self._den = den
+        self._coeffs = None
+
+    @classmethod
+    def _make(cls, num, den: int, order: int) -> "TruncSeries":
+        """The series with EGF numerators num over den, put in canonical form."""
+        g = math.gcd(den, *num)
+        if den < 0:
+            g = -g
+        out = cls.__new__(cls)
+        out.order = order
+        out._num = tuple(num) if g == 1 else tuple(v // g for v in num)
+        out._den = den // g
+        out._coeffs = None
+        return out
 
     @classmethod
     def constant(cls, c, order: int) -> "TruncSeries":
@@ -69,32 +123,50 @@ class TruncSeries:
     def x(cls, order: int) -> "TruncSeries":
         return cls([0, 1], order)
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of x^0 .. x^order, derived on first use."""
+        if self._coeffs is None:
+            out, fact = [], 1
+            for k, v in enumerate(self._num):
+                fact *= k or 1
+                out.append(Fraction(v, fact * self._den))
+            self._coeffs = tuple(out)
+        return self._coeffs
+
     def coeff(self, n: int) -> Fraction:
         return self.coeffs[n]
 
     def egf_coeff(self, n: int) -> Fraction:
         """n! times the coefficient of x^n."""
-        return self.coeffs[n] * math.factorial(n)
+        return Fraction(self._num[n], self._den)
 
     def egf_coeffs(self) -> list[Fraction]:
-        return [self.egf_coeff(n) for n in range(self.order + 1)]
+        return [Fraction(v, self._den) for v in self._num]
 
     def _check_order(self, other: "TruncSeries"):
         if self.order != other.order:
             raise OrderMismatchError(f"orders {self.order} and {other.order} differ")
 
     def __add__(self, other):
+        a, da = self._num, self._den
         if isinstance(other, TruncSeries):
             self._check_order(other)
-            return TruncSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], self.order)
-        c = list(self.coeffs)
-        c[0] += _as_fraction(other)
-        return TruncSeries(c, self.order)
+            b, db = other._num, other._den
+            den = math.lcm(da, db)
+            fa, fb = den // da, den // db
+            return TruncSeries._make([x * fa + y * fb for x, y in zip(a, b)], den, self.order)
+        c = _as_fraction(other)
+        den = math.lcm(da, c.denominator)
+        fa = den // da
+        num = [x * fa for x in a]
+        num[0] += c.numerator * (den // c.denominator)
+        return TruncSeries._make(num, den, self.order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries([-c for c in self.coeffs], self.order)
+        return TruncSeries._make([-v for v in self._num], self._den, self.order)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, TruncSeries) else -_as_fraction(other))
@@ -102,56 +174,57 @@ class TruncSeries:
     def __rsub__(self, other):
         return (-self) + other
 
-    def _scaled(self) -> tuple[list[int], int]:
-        """Integer numerators over one common denominator: coeffs == nums / den."""
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
-
-    @classmethod
-    def _from_fractions(cls, coeffs: list[Fraction], order: int) -> "TruncSeries":
-        """Wrap order + 1 Fractions without the constructor's checks."""
-        out = cls.__new__(cls)
-        out.order = order
-        out.coeffs = tuple(coeffs)
-        return out
-
     def __mul__(self, other):
+        """A product of series is the binomial convolution of the numerators:
+        E_m = sum_k C(m, k) F_k G_(m-k)."""
         if not isinstance(other, TruncSeries):
             f = _as_fraction(other)
-            return TruncSeries([c * f for c in self.coeffs], self.order)
+            return TruncSeries._make([v * f.numerator for v in self._num],
+                                     self._den * f.denominator, self.order)
         self._check_order(other)
         n = self.order
-        a, da = self._scaled()
-        b, db = other._scaled()
+        binom = _binomials(n)
+        a, b = self._num, other._num
+        b_terms = [(j, v) for j, v in enumerate(b) if v]
         out = [0] * (n + 1)
         for i, ai in enumerate(a):
             if ai:
-                for j in range(n + 1 - i):
-                    out[i + j] += ai * b[j]
-        den = da * db
-        return TruncSeries._from_fractions([Fraction(v, den) for v in out], n)
+                for j, bj in b_terms:
+                    if i + j > n:
+                        break
+                    out[i + j] += binom[i + j][i] * ai * bj
+        return TruncSeries._make(out, self._den * other._den, n)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse in the truncated ring.
 
-        With self = A/D on integers, 1/A has coefficients c_m / A_0^(m+1)
-        where c_0 = 1 and c_m = -sum_{k=1..m} A_k c_{m-k} A_0^(k-1), so the
-        recurrence never leaves the integers.
+        With self = A/D in the EGF scaling, 1/A has numerators c_m / A_0^(m+1)
+        where c_0 = 1 and c_m = -sum_{k=1..m} C(m, k) A_k c_{m-k} A_0^(k-1),
+        so the recurrence never leaves the integers.
         """
-        if self.coeffs[0] == 0:
+        a, d = self._num, self._den
+        if a[0] == 0:
             raise ConstantTermError("series has zero constant term")
         n = self.order
-        a, d = self._scaled()
+        binom = _binomials(n)
         a0_pow = [1] * (n + 2)  # a0_pow[k] = A_0^k
         for k in range(1, n + 2):
             a0_pow[k] = a0_pow[k - 1] * a[0]
+        terms = [(k, a[k] * a0_pow[k - 1]) for k in range(1, n + 1) if a[k]]
         c = [1] + [0] * n
         for m in range(1, n + 1):
-            c[m] = -sum(a[k] * c[m - k] * a0_pow[k - 1] for k in range(1, m + 1) if a[k])
-        return TruncSeries._from_fractions(
-            [Fraction(cm * d, a0_pow[m + 1]) for m, cm in enumerate(c)], n)
+            row = binom[m]
+            acc = 0
+            for k, w in terms:
+                if k > m:
+                    break
+                acc += row[k] * w * c[m - k]
+            c[m] = -acc
+        # 1/self = D/A: numerator m is D c_m A_0^(n-m) over A_0^(n+1)
+        return TruncSeries._make([d * cm * a0_pow[n - m] for m, cm in enumerate(c)],
+                                 a0_pow[n + 1], n)
 
     def __truediv__(self, other):
         if isinstance(other, TruncSeries):
@@ -176,18 +249,18 @@ class TruncSeries:
 
     def shift_down(self) -> "TruncSeries":
         """Divide by x (constant term must vanish); drops the order by one."""
-        if self.coeffs[0] != 0:
+        if self._num[0] != 0:
             raise ValueError("cannot divide by x: nonzero constant term")
         if self.order == 0:
             raise ValueError("order too small to shift")
         return TruncSeries(list(self.coeffs[1:]), self.order - 1)
 
     def __eq__(self, other):
-        return (isinstance(other, TruncSeries)
-                and self.order == other.order and self.coeffs == other.coeffs)
+        return (isinstance(other, TruncSeries) and self.order == other.order
+                and self._den == other._den and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self._num, self._den))
 
     def __repr__(self):
         return f"TruncSeries({[str(c) for c in self.coeffs]})"
@@ -214,35 +287,40 @@ def poly_series(coeffs, order: int) -> TruncSeries:
 
 
 def exp_series(c, order: int) -> TruncSeries:
-    """exp(c*x) = sum_k c^k x^k / k!."""
+    """exp(c*x) = sum_k c^k x^k / k!: numerators p^k q^(order-k) over q^order, c = p/q."""
     c = _as_fraction(c)
-    out = []
-    term = Fraction(1)
-    for k in range(order + 1):
-        out.append(term)
-        term = term * c / (k + 1)
-    return TruncSeries(out, order)
+    p, q = c.numerator, c.denominator
+    p_pow, q_pow = [1], [1]
+    for _ in range(order):
+        p_pow.append(p_pow[-1] * p)
+        q_pow.append(q_pow[-1] * q)
+    return TruncSeries._make([pk * qk for pk, qk in zip(p_pow, reversed(q_pow))],
+                             q_pow[-1], order)
+
+
+def _even_powers(p, order: int, start: int, scale: int) -> TruncSeries:
+    """Numerators a^k (4b)^(K-k) at x^(start+2k), k = 0..K, over scale * (4b)^K,
+    with p = a/b and K the largest k with start + 2k <= order."""
+    p = _as_fraction(p)
+    a, four_b = p.numerator, 4 * p.denominator
+    count = len(range(start, order + 1, 2))
+    a_pow, b_pow = [1] * count, [1] * count
+    for k in range(1, count):
+        a_pow[k] = a_pow[k - 1] * a
+        b_pow[k] = b_pow[k - 1] * four_b
+    num = [0] * (order + 1)
+    num[start::2] = [x * y for x, y in zip(a_pow, reversed(b_pow))]
+    return TruncSeries._make(num, scale * (b_pow[-1] if count else 1), order)
+
 
 def cosh_even(p, order: int) -> TruncSeries:
     """sum_k p^k (x/2)^{2k} / (2k)!, i.e. cosh(a*x/2) written in p = a^2."""
-    p = _as_fraction(p)
-    out = [Fraction(0)] * (order + 1)
-    k = 0
-    while 2 * k <= order:
-        out[2 * k] = p ** k / (Fraction(4) ** k * math.factorial(2 * k))
-        k += 1
-    return TruncSeries(out, order)
+    return _even_powers(p, order, 0, 1)
 
 
 def sinh_even_div(p, order: int) -> TruncSeries:
     """sum_k p^k (x/2)^{2k+1} / (2k+1)!, i.e. sinh(a*x/2)/a written in p = a^2."""
-    p = _as_fraction(p)
-    out = [Fraction(0)] * (order + 1)
-    k = 0
-    while 2 * k + 1 <= order:
-        out[2 * k + 1] = p ** k / (Fraction(2) ** (2 * k + 1) * math.factorial(2 * k + 1))
-        k += 1
-    return TruncSeries(out, order)
+    return _even_powers(p, order, 1, 2)
 
 
 class SeriesMatrix:
@@ -293,7 +371,7 @@ class SeriesMatrix:
         b = [[TruncSeries.constant(1 if i == j else 0, order) for j in range(m)]
              for i in range(m)]
         for col in range(m):
-            piv = next((r for r in range(col, m) if a[r][col].coeffs[0] != 0), None)
+            piv = next((r for r in range(col, m) if a[r][col]._num[0]), None)
             if piv is None:
                 raise SingularMatrixError("constant-term matrix is singular")
             a[col], a[piv] = a[piv], a[col]
@@ -304,7 +382,7 @@ class SeriesMatrix:
             for r in range(m):
                 if r != col:
                     f = a[r][col]
-                    if any(c != 0 for c in f.coeffs):
+                    if any(f._num):
                         a[r] = [e - f * g for e, g in zip(a[r], a[col])]
                         b[r] = [e - f * g for e, g in zip(b[r], b[col])]
         return SeriesMatrix(b)
@@ -317,11 +395,17 @@ class SeriesMatrix:
 
 
 def hat_transform(obj):
-    """Map x^n -> x^n/n! coefficientwise (entrywise on matrices)."""
+    """Map x^n -> x^n/n! coefficientwise (entrywise on matrices).
+
+    The coefficients of the series become the EGF numerators of its image.
+    """
     if isinstance(obj, SeriesMatrix):
         return SeriesMatrix([[hat_transform(e) for e in row] for row in obj.entries])
-    return TruncSeries([c / math.factorial(n) for n, c in enumerate(obj.coeffs)],
-                       obj.order)
+    n = obj.order
+    ratio = [1] * (n + 1)  # ratio[k] = n!/k!
+    for k in range(n - 1, -1, -1):
+        ratio[k] = ratio[k + 1] * (k + 1)
+    return TruncSeries._make(list(map(operator.mul, obj._num, ratio)), obj._den * ratio[0], n)
 
 
 class Poly:
@@ -400,28 +484,65 @@ def interpolate(points, degree_bound: int) -> Poly:
     consistent with the interpolant, otherwise InterpolationError is raised.
     """
     pts = [(_as_fraction(x), _as_fraction(y)) for x, y in points]
-    xs = [x for x, _ in pts]
+    return next(interpolate_rows([x for x, _ in pts], [[y for _, y in pts]], [degree_bound]))
+
+
+def interpolate_rows(xs, rows, bounds):
+    """Yield, row by row, the unique polynomial of degree <= bound through the
+    row's values at the nodes xs, for each row and bound.
+
+    The nodes are distinct exact rationals, shared by every row; rows and
+    bounds are read lazily, one row per fit.  A row needs at least bound+1
+    nodes.  The first bound+1 determine its polynomial and the others are a
+    check: every divided difference above the bound must vanish, and the
+    first one that does not names the first point inconsistent with the
+    interpolant (InterpolationError).  A bound below -1 acts like -1: the
+    zero polynomial, which every point must fit.
+
+    The work that depends on the nodes alone is done once.  With the nodes
+    scaled to integers u_i = Q x_i, the divided difference of the values
+    y_0..y_k is sum_i W[k][i] y_i / D, with the integer weights
+    W[k][i] = D / prod_{j <= k, j != i} (u_i - u_j) over one common
+    denominator D.  Each row then costs O(m^2) integer operations for m
+    nodes: its divided differences, and the nested multiplication of the
+    Newton form, whose coefficient of u^i times Q^i is that of x^i.
+    """
+    xs = [_as_fraction(x) for x in xs]
     if len(set(xs)) != len(xs):
         raise InterpolationError("duplicate abscissae")
-    if len(pts) < degree_bound + 1:
-        raise InterpolationError(
-            f"need {degree_bound + 1} points for degree {degree_bound}, got {len(pts)}")
-    base = max(degree_bound + 1, 0)  # a negative bound leaves only the zero polynomial
-    # Newton divided differences: dd[i] becomes f[x_0, ..., x_i]
-    xs = xs[:base]
-    dd = [y for _, y in pts[:base]]
-    for k in range(1, len(dd)):
-        for i in range(len(dd) - 1, k - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
-    # nested multiplication: c <- c * (x - x_k) + dd[k], from the top down
-    coeffs = dd[-1:]
-    for k in range(len(dd) - 2, -1, -1):
-        coeffs.insert(0, dd[k] - xs[k] * coeffs[0])
-        for i in range(1, len(coeffs) - 1):
-            coeffs[i] -= xs[k] * coeffs[i + 1]
-    result = Poly(coeffs)
-    for x, y in pts[base:]:
-        if result(x) != y:
-            raise InterpolationError(
-                f"point ({x}, {y}) inconsistent with degree-{degree_bound} interpolant")
-    return result
+    m = len(xs)
+    us, q = _over_lcm(xs)
+    prods = []  # prods[k][i] = prod_{j <= k, j != i} (u_i - u_j)
+    for k, uk in enumerate(us):
+        level = [p * (ui - uk) for p, ui in zip(prods[-1], us)] if k else []
+        top = 1
+        for uj in us[:k]:
+            top *= uk - uj
+        prods.append(level + [top])
+    # each level's products divide the last level's, so their lcm is D
+    den = math.lcm(*prods[-1]) if m else 1
+    weights = [[den // p for p in level] for level in prods]
+    q_pow = [q ** i for i in range(m)]
+    for ys, bound in zip(rows, bounds):
+        ys = [_as_fraction(y) for y in ys]
+        if len(ys) != m:
+            raise InterpolationError(f"{len(ys)} values for {m} nodes")
+        if m < bound + 1:
+            raise InterpolationError(f"need {bound + 1} points for degree {bound}, got {m}")
+        nums, scale = _over_lcm(ys)
+        diffs = [sum(map(operator.mul, w, nums)) for w in weights]  # D * scale * f[u_0..u_k]
+        base = max(bound + 1, 0)
+        for k in range(base, m):
+            if diffs[k]:
+                raise InterpolationError(
+                    f"point ({xs[k]}, {ys[k]}) inconsistent with degree-{bound} interpolant")
+        # nested multiplication: c <- c * (u - u_k) + diffs[k], from the top down
+        c = []
+        for k in range(base - 1, -1, -1):
+            uk = us[k]
+            c.append(0)
+            for i in range(len(c) - 1, 0, -1):
+                c[i] = c[i - 1] - uk * c[i]
+            c[0] = diffs[k] - uk * c[0]
+        total = den * scale
+        yield Poly([Fraction(ci * qi, total) for ci, qi in zip(c, q_pow)])

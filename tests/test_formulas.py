@@ -168,14 +168,14 @@ def test_row_sums():
 
 def test_rows_to_n30():
     from reference_tables import derangement_numbers
-    d = derangement_numbers(30)
+    d = derangement_numbers(60)
     for tag in ("des", "pk", "val", "dasc", "ddes"):
-        rows = distribution_polynomials(tag, 30).rows
-        assert [sum(rows[n].coeffs, Fraction(0)) for n in range(31)] == d, tag
+        rows = distribution_polynomials(tag, 60).rows
+        assert [sum(rows[n].coeffs, Fraction(0)) for n in range(61)] == d, tag
     # Eulerian numbers A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1)
-    rows = distribution_polynomials("eulerian", 30).rows
+    rows = distribution_polynomials("eulerian", 60).rows
     a = [1]  # A(0, 0)
-    for n in range(31):
+    for n in range(61):
         assert rows[n] == Poly(a), n
         a = [(k + 1) * (a[k] if k < len(a) else 0) + (n + 1 - k) * (a[k - 1] if k else 0)
              for k in range(n + 1)]

@@ -10,7 +10,7 @@ from desarrange.patterns import (
     simion_schmidt, simion_schmidt_inverse, all_pattern_sets,
 )
 from desarrange.perms import (
-    CapExceededError, avoiders, class_predicate, enumerate_class, is_desarrangement,
+    CapExceededError, avoiders, class_predicate, enumerate_class, is_desarrangement, tally,
 )
 
 from reference_tables import (
@@ -63,6 +63,23 @@ def test_count_class_cap(monkeypatch):
     monkeypatch.delenv("DESARRANGE_CAP", raising=False)
     with pytest.raises(CapExceededError):
         count_class(12, {(3, 2, 1)}, "desarrangements")
+
+
+def test_count_class_matches_the_tally_total_for_every_set():
+    # the per-mask counts folded once per (n, class) answer all 64 sets
+    for n in range(9):
+        for klass in ("all", "desarrangements", "derangements"):
+            for pats in all_pattern_sets():
+                want = sum(tally(n, pats, klass, lambda p: None).values())
+                assert count_class(n, pats, klass) == want, (n, klass, pats)
+
+
+def test_count_class_cap_holds_after_a_warm_memo(monkeypatch):
+    monkeypatch.delenv("DESARRANGE_CAP", raising=False)
+    assert count_class(6, {(3, 2, 1)}, "all") == 132  # fills the per-mask memo for n = 6
+    monkeypatch.setenv("DESARRANGE_CAP", "5")
+    with pytest.raises(CapExceededError):
+        count_class(6, {(3, 2, 1)}, "all")
 
 
 def test_sequences_against_reference():

@@ -173,6 +173,8 @@ def test_run_theorem_high_order():
     # are the derangement recurrence and the closed-form descent EGF
     egf = run_theorem_egf(builtin_spec("fig1"), 1, 3, order=30) + cosh_even(4, 30)
     assert egf.egf_coeffs() == derangement_numbers(30)
+    egf = run_theorem_egf(builtin_spec("fig1"), 1, 3, order=60) + cosh_even(4, 60)
+    assert egf.egf_coeffs() == derangement_numbers(60)
     egf = run_theorem_egf(builtin_spec("fig2"), 1, 2, t=2, order=24) + 1
     assert egf == evaluate_formula("des", t=2, order=24)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from desarrange.series import (
     ConstantTermError, InterpolationError, OrderMismatchError, Poly,
     SeriesMatrix, SingularMatrixError, TruncSeries, cosh_even, exp_series,
-    hat_transform, interpolate, poly_series, sinh_even_div,
+    hat_transform, interpolate, interpolate_rows, poly_series, sinh_even_div,
 )
 
 
@@ -350,3 +350,117 @@ def test_interpolate_matches_lagrange_reference(case):
     if len(set(xs)) == len(xs) == len(points) and all(poly(x) == y for x, y in points) \
             and len(points) > bound:
         assert got == poly
+
+
+# Reference constructions of the elementary series, one Fraction per term:
+# the definitions the integer numerator builders must reproduce.
+
+def reference_exp_series(c, order):
+    c = Fraction(c)
+    return TruncSeries([c ** k / math.factorial(k) for k in range(order + 1)], order)
+
+
+def reference_cosh_even(p, order):
+    p = Fraction(p)
+    return TruncSeries([p ** (k // 2) / (4 ** (k // 2) * math.factorial(k)) if k % 2 == 0
+                        else Fraction(0) for k in range(order + 1)], order)
+
+
+def reference_sinh_even_div(p, order):
+    p = Fraction(p)
+    return TruncSeries([p ** (k // 2) / (2 ** k * math.factorial(k)) if k % 2
+                        else Fraction(0) for k in range(order + 1)], order)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(rationals, st.integers(0, 12))
+def test_elementary_series_match_fraction_definitions(value, order):
+    for build, reference in ((exp_series, reference_exp_series),
+                             (cosh_even, reference_cosh_even),
+                             (sinh_even_div, reference_sinh_even_div)):
+        got, want = build(value, order), reference(value, order)
+        assert got == want and hash(got) == hash(want)
+        assert got.coeffs == want.coeffs
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(series_pairs())
+def test_equal_series_by_different_routes_are_equal_and_hash_equal(pair):
+    a, b = pair
+    routes = [(-(-a), a), (a * 1, a), (a - a, TruncSeries.constant(0, a.order)),
+              (hat_transform(a), TruncSeries([c / math.factorial(k)
+                                              for k, c in enumerate(a.coeffs)], a.order)),
+              (TruncSeries.from_json(a.to_json()), a)]
+    if a.order == b.order:
+        routes.append(((a + b) - b, a))
+        routes.append((a * b, reference_mul(a, b)))
+        routes.append((a * b, TruncSeries(list((a * b).coeffs), a.order)))
+        if b.coeff(0):
+            routes.append(((a / b) * b, a))
+    for got, want in routes:
+        assert got == want and hash(got) == hash(want)
+        assert got.coeffs == want.coeffs and got.egf_coeffs() == want.egf_coeffs()
+
+
+def first_inconsistent_point(points, bound):
+    """The spare point that the one-row interpolation names, from the
+    reference interpolant (bound + 1 points at least)."""
+    base = max(bound + 1, 0)
+    poly = lagrange_interpolate(points[:base], bound) if base else Poly([])
+    return next(((x, y) for x, y in points[base:] if poly(x) != Fraction(y)), None)
+
+
+NODE_SETS = {
+    "consecutive": [Fraction(v) for v in range(2, 14)],
+    "gapped": [Fraction(v) for v in range(2, 15) if v != 5],  # t nodes that skip t = s = 5
+    "rational": [Fraction(v, 3) for v in range(-4, 8)] + [Fraction(7, 11)],
+}
+
+
+@st.composite
+def row_batches(draw):
+    """Rows of values on one node set, each from a polynomial of degree <= its
+    bound, a few of them with one spare value corrupted."""
+    xs = NODE_SETS[draw(st.sampled_from(sorted(NODE_SETS)))]
+    rows, bounds = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        bound = draw(st.integers(-1, 10))
+        poly = Poly(draw(st.lists(rationals, max_size=bound + 1)))
+        ys = [poly(x) for x in xs]
+        if draw(st.integers(0, 4)) == 0:
+            i = draw(st.integers(max(bound + 1, 0), len(xs) - 1))
+            ys[i] += draw(nonzero_rationals)
+        rows.append(ys)
+        bounds.append(bound)
+    return xs, rows, bounds
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(row_batches())
+def test_interpolate_rows_matches_lagrange_reference(batch):
+    xs, rows, bounds = batch
+    fits = interpolate_rows(xs, rows, bounds)
+    for ys, bound in zip(rows, bounds):
+        points = list(zip(xs, ys))
+        bad = first_inconsistent_point(points, bound)
+        if bad is None:
+            assert next(fits) == lagrange_interpolate(points, bound)
+        else:
+            with pytest.raises(InterpolationError) as exc:
+                next(fits)
+            assert str(exc.value) == \
+                f"point ({bad[0]}, {bad[1]}) inconsistent with degree-{bound} interpolant"
+            assert outcome(lagrange_interpolate, points, bound) is InterpolationError
+            return
+
+
+def test_interpolate_rows_rejects_malformed_input():
+    with pytest.raises(InterpolationError, match="duplicate abscissae"):
+        next(interpolate_rows([1, 2, 1], [[0, 0, 0]], [0]))
+    fits = interpolate_rows([1, 2], [[3, 3], [1, 2]], [0, 2])
+    assert next(fits) == Poly([3])
+    with pytest.raises(InterpolationError, match="need 3 points for degree 2, got 2"):
+        next(fits)
+    with pytest.raises(InterpolationError):
+        next(interpolate_rows([1, 2], [[3]], [0]))
+    assert list(interpolate_rows([], [[]], [-1])) == [Poly([])]
