@@ -8,6 +8,10 @@ equidistribution evidence report).
 
 Exit codes: 0 success, 1 verification mismatch or hypothesis violation,
 2 usage error.
+
+Building the parser loads only perms and series; each subcommand imports
+the layers it runs when it runs (runthm adds rungraph, tables 2..6 adds
+formulas), so a fresh process pays for no layer it never calls.
 """
 from __future__ import annotations
 
@@ -17,7 +21,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import formulas, patterns, rungraph, verify
 from .perms import CAP_ENV_VAR, CapExceededError, CapSettingError, enumerate_class, perm_to_str
 from .series import TruncSeries, cosh_even, format_rational
 
@@ -70,6 +73,7 @@ def render_table1(fmt: str) -> str:
 
 
 def render_stat_table(which: int, fmt: str, n_max: int) -> str:
+    from . import formulas
     tag = STAT_TABLE_IDS[which]
     table = formulas.distribution_polynomials(tag, n_max)
     if fmt == "json":
@@ -83,6 +87,7 @@ def render_stat_table(which: int, fmt: str, n_max: int) -> str:
 
 
 def render_table7(fmt: str, n_max: int) -> str:
+    from . import patterns
     rows = []
     for pats in patterns.all_pattern_sets():
         label = patterns.patterns_label(pats) or "none"
@@ -113,6 +118,7 @@ def cmd_tables(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
     try:
         reports = verify.verify_all(args.n_max, only=args.only)
     except ValueError as exc:
@@ -125,15 +131,11 @@ def cmd_verify(args) -> int:
     return 0 if verify.all_ok(reports) else 1
 
 
-def _load_spec(ref: str) -> rungraph.RunGraphSpec:
-    if ref in rungraph.BUILTIN_SPECS:
-        return rungraph.builtin_spec(ref)
-    return rungraph.load_spec(ref)
-
-
 def cmd_runthm(args) -> int:
+    from . import rungraph
     try:
-        spec = _load_spec(args.spec)
+        spec = (rungraph.builtin_spec(args.spec) if args.spec in rungraph.BUILTIN_SPECS
+                else rungraph.load_spec(args.spec))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, rungraph.SpecFormatError) as exc:
         print(f"error: cannot load spec: {exc}", file=sys.stderr)
         return 2
@@ -163,6 +165,7 @@ def cmd_runthm(args) -> int:
 
 
 def cmd_seq(args) -> int:
+    from . import patterns
     name = args.id.strip()
     if name.startswith("d(") and name.endswith(")"):
         try:
@@ -182,6 +185,7 @@ def cmd_seq(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
+    from . import patterns
     report = patterns.equidistribution_report(args.n_max)
     if args.format == "json":
         _emit(json.dumps(report.to_json(), indent=2))
@@ -219,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification harness")
     p.add_argument("--n-max", type=_non_negative_int, default=9)
-    p.add_argument("--only", default=None, help=f"one of {sorted(verify.CHECKS)}")
+    p.add_argument("--only", default=None, help="run the one named check")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_verify)
 
@@ -238,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_runthm)
 
     p = sub.add_parser("seq", help="print a sequence as comma-separated values")
-    p.add_argument("id", help=f"{'|'.join(patterns.SEQUENCE_IDS)} or d(<patterns>)")
+    p.add_argument("id", help="a sequence id or d(<patterns>)")
     p.add_argument("n_max", type=_non_negative_int)
     p.set_defaults(fn=cmd_seq)
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .series import (
@@ -51,7 +51,14 @@ class PoleError(ValueError):
 
 
 class TranscriptionError(AssertionError):
-    """Interpolated rows are inconsistent: a formula was copied wrong."""
+    """Interpolated rows are inconsistent: a formula was copied wrong.
+
+    row is the first row found inconsistent, when one is named.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 # Over which permutation class each statistic row lives (row sums).
@@ -263,11 +270,9 @@ class BivarPoly:
         return f"BivarPoly({self.int_entries() if self.entries else {}})"
 
 
-@dataclass
-class DistributionTable:
+class DistributionTable(namedtuple("DistributionTable", "tag rows")):
     """Rows n -> distribution polynomial (Poly, or BivarPoly for joint tags)."""
-    tag: str
-    rows: dict
+    __slots__ = ()
 
     def row(self, n: int):
         return self.rows[n]
@@ -316,18 +321,19 @@ def good_t_points(tag: str, count: int, order: int, s=None):
     return out
 
 
-def _count_rows(xs, rows, bounds, wheres):
-    """Yield the interpolants of interpolate_rows(xs, rows, bounds), whose
-    coefficients must all be counts; wheres names each row in errors."""
-    fits = interpolate_rows(xs, rows, bounds)
-    for where in wheres:
+def _count_rows(xs, rows, ns, wheres):
+    """Yield the interpolants of interpolate_rows(xs, rows, ns): the values
+    from table row n fit a polynomial of degree <= n, whose coefficients
+    must all be counts; wheres names each row in errors."""
+    fits = interpolate_rows(xs, rows, ns)
+    for n, where in zip(ns, wheres):
         try:
             poly = next(fits)
         except InterpolationError as exc:
-            raise TranscriptionError(f"{where}: {exc}") from exc
+            raise TranscriptionError(f"{where}: {exc}", n) from exc
         for c in poly.coeffs:
             if c.denominator != 1 or c < 0:
-                raise TranscriptionError(f"{where}: coefficient {c} not a count")
+                raise TranscriptionError(f"{where}: coefficient {c} not a count", n)
         yield poly
 
 
@@ -338,10 +344,30 @@ def _sampled_rows(points, n_max: int):
     return _count_rows(xs, rows, range(n_max + 1), (f"row {n}" for n in range(n_max + 1)))
 
 
+def _row_sums_checked(table: DistributionTable) -> DistributionTable:
+    """The table, once each row n totals the size of its ROW_SUPPORT class:
+    n! for all permutations, and d_n = n * d_(n-1) + (-1)^n for the
+    desarrangements, which are as many as the derangements."""
+    klass = ROW_SUPPORT[table.tag]
+    sign = 1 if klass == "desarrangements" else 0
+    size = 1
+    for n in range(len(table.rows)):
+        if n:
+            size = n * size + sign * (-1) ** n
+        row = table.rows[n]
+        total = row.total() if isinstance(row, BivarPoly) else row(1)
+        if total != size:
+            raise TranscriptionError(
+                f"row {n}: sums to {total}, but class {klass!r} has {size} members", n)
+    return table
+
+
 def distribution_polynomials(tag: str, n_max: int) -> DistributionTable:
     """Rows 0..n_max of the distribution encoded by the named formula.
 
     Each node set is fitted once for all rows (series.interpolate_rows).
+    After the fits, every row must total the size of its ROW_SUPPORT class:
+    a stray term constant in t and s fits, and only its row sum shows it.
     """
     arity = FORMULAS[tag][0]
     if arity == 0:
@@ -349,7 +375,8 @@ def distribution_polynomials(tag: str, n_max: int) -> DistributionTable:
     order = n_max + 1
     if arity == 1:
         pts = good_t_points(tag, n_max + 2, order)
-        return DistributionTable(tag, dict(enumerate(_sampled_rows(pts, n_max))))
+        rows = dict(enumerate(_sampled_rows(pts, n_max)))
+        return _row_sums_checked(DistributionTable(tag, rows))
 
     # two variables: per-s interpolation in t, then interpolation in s; the
     # row-n fits in t run just before the row-n fits in s that read them
@@ -371,7 +398,7 @@ def distribution_polynomials(tag: str, n_max: int) -> DistributionTable:
         for i, c in enumerate(s_poly.coeffs):
             if c:
                 entries[n][(i, j)] = c
-    return DistributionTable(tag, {n: BivarPoly(e) for n, e in entries.items()})
+    return _row_sums_checked(DistributionTable(tag, {n: BivarPoly(e) for n, e in entries.items()}))
 
 
 def rval_polynomials(n_max: int) -> DistributionTable:
@@ -391,11 +418,8 @@ def rval_rows(pk_rows: dict) -> dict:
     return rows
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    details: str = ""
+class CheckResult(namedtuple("CheckResult", "name ok details", defaults=("",))):
+    __slots__ = ()
 
 
 SPECIALIZATION_TAGS = ("des", "eulerian", "joint_pk_des", "joint_pix_des")

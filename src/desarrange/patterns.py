@@ -11,8 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 
 from .perms import (  # pattern_mask is re-exported
     PATTERNS, Perm, class_count, class_predicate, contains_pattern, fix, is_desarrangement,
@@ -311,8 +310,9 @@ def _av(labels: str, klass: str = "all") -> tuple[frozenset[Perm], str]:
     return parse_patterns(labels), klass
 
 
-@dataclass(frozen=True)
-class Bijection:
+class Bijection(namedtuple("Bijection", "name forward inverse domain target shifts "
+                                       "description n_min fixes flips",
+                           defaults=(0, None, False))):
     """A proof bijection and the class identity it proves.
 
     Domain and target are (pattern set, class) pairs.  On each length
@@ -324,18 +324,10 @@ class Bijection:
 
     The row is the only statement of the domain: bijection() rejects
     inputs outside it, and verify compares the images at each shift with
-    the generated target class of length n + shift.
+    the generated target class of length n + shift.  The inverse takes
+    grow = -shift when the map is graded.
     """
-    name: str
-    forward: callable
-    inverse: callable  # takes grow = -shift when the map is graded
-    domain: tuple[frozenset[Perm], str]
-    target: tuple[frozenset[Perm], str]
-    shifts: tuple[int, ...]
-    description: str
-    n_min: int = 0
-    fixes: str | None = None
-    flips: bool = False
+    __slots__ = ()
 
     @property
     def graded(self) -> bool:
@@ -496,21 +488,23 @@ PIXFIX_CONJECTURE_SETS = tuple(s for s in COUNTS_THEOREM_SETS
                                if s != frozenset({P132}))
 
 
-@dataclass(frozen=True)
-class PatternSetEvidence:
-    patterns: str
-    counts_match: bool        # d_n == derangement count for all checked n
-    pixfix_match: bool        # pix and fix distributions agree on S_n(Pi)
-    in_counts_theorem: bool
-    in_pixfix_conjecture: bool
+class PatternSetEvidence(namedtuple("PatternSetEvidence",
+                                    "patterns counts_match pixfix_match "
+                                    "in_counts_theorem in_pixfix_conjecture")):
+    """One pattern set's verdicts: counts_match says d_n equals the derangement
+    count for all checked n, pixfix_match that the pix and fix distributions
+    agree on S_n(Pi)."""
+    __slots__ = ()
 
 
-@dataclass
-class EquidistributionReport:
-    n_max: int
-    entries: list[PatternSetEvidence] = field(default_factory=list)
+class EquidistributionReport(namedtuple("EquidistributionReport", "n_max entries")):
+    """The PatternSetEvidence of every set, in a list filled after construction."""
+    __slots__ = ()
 
     RESOLVED_AT = 7  # smallest n_max distinguishing every unlisted set
+
+    def __new__(cls, n_max: int, entries=None):
+        return super().__new__(cls, n_max, [] if entries is None else entries)
 
     def failures(self) -> list[str]:
         """Notes on the sets that contradict the count list or the conjecture.
@@ -552,7 +546,7 @@ class EquidistributionReport:
             "n_max": self.n_max,
             "counts_list_exact": self.counts_list_exact,
             "pixfix_list_exact": self.pixfix_list_exact,
-            "entries": [vars(e) for e in self.entries],
+            "entries": [e._asdict() for e in self.entries],
         }
 
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from types import MappingProxyType
 
 Perm = tuple[int, ...]
@@ -189,14 +188,12 @@ def descent_composition(p) -> tuple[int, ...]:
     return tuple(parts)
 
 
-@dataclass(frozen=True)
-class PixedFactorization:
+class PixedFactorization(namedtuple("PixedFactorization", "iota_len delta")):
     """The unique split p = iota . delta with iota increasing and delta a desarrangement.
 
     delta holds the literal suffix letters (not standardized).
     """
-    iota_len: int
-    delta: Perm
+    __slots__ = ()
 
 
 def pixed_factorization(p) -> PixedFactorization:
@@ -240,18 +237,10 @@ def pix(p) -> int:
     return pixed_factorization(p).iota_len
 
 
-@dataclass(frozen=True)
-class StatRecord:
-    des: int
-    asc: int
-    pk: int
-    val: int
-    dasc: int
-    ddes: int
-    rval: int
-    fix: int
-    pix: int
-    first_ascent: int | None
+class StatRecord(namedtuple("StatRecord",
+                            "des asc pk val dasc ddes rval fix pix first_ascent")):
+    """All statistics of one permutation; first_ascent is None for the empty one."""
+    __slots__ = ()
 
 
 def statistics(p) -> StatRecord:

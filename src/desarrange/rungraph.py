@@ -19,10 +19,9 @@ import functools
 import itertools
 import json
 import math
-from collections import Counter
-from dataclasses import dataclass
+import os
+from collections import Counter, namedtuple
 from fractions import Fraction
-from importlib import resources
 
 from .perms import check_cap, descent_composition, tally
 from .series import SeriesMatrix, TruncSeries, hat_transform
@@ -44,11 +43,13 @@ class HypothesisViolationError(Exception):
             f"composition {self.composition} is ({i},{j})-admissible along multiple paths")
 
 
-@dataclass(frozen=True)
-class PartSet:
-    """Set of positive integers: arithmetic progressions plus finitely many extras."""
-    progressions: tuple[tuple[int, int], ...]  # (start k0 >= 1, step >= 1)
-    extras: frozenset[int]
+class PartSet(namedtuple("PartSet", "progressions extras")):
+    """Set of positive integers: arithmetic progressions plus finitely many extras.
+
+    progressions is a tuple of (start k0 >= 1, step >= 1) pairs and extras
+    a frozenset of ints.
+    """
+    __slots__ = ()
 
     @classmethod
     def make(cls, progressions=(), extras=()) -> "PartSet":
@@ -77,12 +78,10 @@ class PartSet:
         return [k for k in range(1, bound + 1) if k in self]
 
 
-@dataclass(frozen=True)
-class WeightCase:
-    """On its guard, the part weight is t^(a*k+b) * s^(c*k+d)."""
-    guard: PartSet
-    t_exp: tuple[int, int]  # (a, b)
-    s_exp: tuple[int, int]  # (c, d)
+class WeightCase(namedtuple("WeightCase", "guard t_exp s_exp")):
+    """On its guard (a PartSet), the part weight is t^(a*k+b) * s^(c*k+d),
+    with t_exp = (a, b) and s_exp = (c, d)."""
+    __slots__ = ()
 
     def exponents(self, k: int) -> tuple[int, int]:
         a, b = self.t_exp
@@ -90,14 +89,14 @@ class WeightCase:
         return a * k + b, c * k + d
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: int
-    dst: int
-    cases: tuple[WeightCase, ...]
+class Edge(namedtuple("Edge", "src dst cases")):
+    """The edge src -> dst, weighted by a tuple of WeightCases with disjoint guards."""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, src: int, dst: int, cases):
+        self = super().__new__(cls, src, dst, cases)
         _check_cases(self)
+        return self
 
     def admits(self, k: int) -> bool:
         return any(k in case.guard for case in self.cases)
@@ -115,20 +114,20 @@ class Edge:
         return None if ex is None else Fraction(t) ** ex[0] * Fraction(s) ** ex[1]
 
 
-@dataclass(frozen=True)
-class RunGraphSpec:
-    name: str
-    dim: int
-    edges: tuple[Edge, ...]
+class RunGraphSpec(namedtuple("RunGraphSpec", "name dim edges")):
+    """A named graph on vertices 1..dim with a tuple of Edges, at most one per pair."""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, name: str, dim: int, edges):
+        self = super().__new__(cls, name, dim, edges)
         seen = set()
-        for e in self.edges:
-            if not (1 <= e.src <= self.dim and 1 <= e.dst <= self.dim):
-                raise SpecFormatError(f"edge ({e.src},{e.dst}) outside 1..{self.dim}")
+        for e in edges:
+            if not (1 <= e.src <= dim and 1 <= e.dst <= dim):
+                raise SpecFormatError(f"edge ({e.src},{e.dst}) outside 1..{dim}")
             if (e.src, e.dst) in seen:
                 raise SpecFormatError(f"duplicate edge ({e.src},{e.dst})")
             seen.add((e.src, e.dst))
+        return self
 
     def edges_from(self, v: int):
         return [e for e in self.edges if e.src == v]
@@ -227,11 +226,9 @@ def composition_weight(spec: RunGraphSpec, i: int, j: int, composition,
     return Fraction(t) ** ex[0] * Fraction(s) ** ex[1]
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    ok: bool
-    max_size: int
-    violation: tuple[tuple[int, ...], int, int] | None  # (composition, i, j)
+class AdmissibilityReport(namedtuple("AdmissibilityReport", "ok max_size violation")):
+    """violation is (composition, i, j) for the first ambiguous composition, else None."""
+    __slots__ = ()
 
 
 def _step(states, moves):
@@ -470,5 +467,4 @@ def builtin_spec(name: str) -> RunGraphSpec:
     the pixed-point graph)."""
     if name not in BUILTIN_SPECS:
         raise SpecFormatError(f"unknown builtin spec {name!r}; have {BUILTIN_SPECS}")
-    data = resources.files("desarrange").joinpath(f"specs/{name}.json").read_text("utf-8")
-    return spec_from_json(json.loads(data))
+    return load_spec(os.path.join(os.path.dirname(__file__), "specs", f"{name}.json"))

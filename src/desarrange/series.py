@@ -6,8 +6,9 @@ x^N.  It stores them in the EGF scaling, as the integers k! * c_k over one
 positive common denominator reduced by their gcd, so the series of
 exp(c*x) at an integer c is just the powers c^k over 1.  Every ring
 operation works on these integers and truncates back to order N: a sum
-over the lcm of the denominators, a product as a binomial convolution, an
-inverse by an all-integer recurrence.  The rational coefficients are
+over the lcm of the denominators, a product as a binomial convolution, a
+quotient by an all-integer recurrence (an inverse is the quotient of
+one).  The rational coefficients are
 derived on first use.  Arithmetic is only defined between series of equal
 order.  SeriesMatrix wraps a square grid of equal-order series and supports
 inversion by Gaussian elimination, which only needs the constant-term
@@ -198,38 +199,40 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse in the truncated ring.
+        """Multiplicative inverse in the truncated ring: 1 / self."""
+        return TruncSeries.one(self.order) / self
 
-        With self = A/D in the EGF scaling, 1/A has numerators c_m / A_0^(m+1)
-        where c_0 = 1 and c_m = -sum_{k=1..m} C(m, k) A_k c_{m-k} A_0^(k-1),
-        so the recurrence never leaves the integers.
+    def __truediv__(self, other):
+        """Quotient by one all-integer recurrence.
+
+        With self = N/Dn and other = A/Da in the EGF scaling, N/A has
+        numerators r_m / A_0^(m+1), where
+        r_m = N_m A_0^m - sum_{k=1..m} C(m, k) A_k r_{m-k} A_0^(k-1).
         """
-        a, d = self._num, self._den
+        if not isinstance(other, TruncSeries):
+            return self * (1 / _as_fraction(other))
+        a, d = other._num, other._den
         if a[0] == 0:
             raise ConstantTermError("series has zero constant term")
+        self._check_order(other)
         n = self.order
         binom = _binomials(n)
         a0_pow = [1] * (n + 2)  # a0_pow[k] = A_0^k
         for k in range(1, n + 2):
             a0_pow[k] = a0_pow[k - 1] * a[0]
         terms = [(k, a[k] * a0_pow[k - 1]) for k in range(1, n + 1) if a[k]]
-        c = [1] + [0] * n
-        for m in range(1, n + 1):
+        r = [0] * (n + 1)
+        for m, nm in enumerate(self._num):
             row = binom[m]
-            acc = 0
+            acc = nm * a0_pow[m]
             for k, w in terms:
                 if k > m:
                     break
-                acc += row[k] * w * c[m - k]
-            c[m] = -acc
-        # 1/self = D/A: numerator m is D c_m A_0^(n-m) over A_0^(n+1)
-        return TruncSeries._make([d * cm * a0_pow[n - m] for m, cm in enumerate(c)],
-                                 a0_pow[n + 1], n)
-
-    def __truediv__(self, other):
-        if isinstance(other, TruncSeries):
-            return self * other.inverse()
-        return self * (1 / _as_fraction(other))
+                acc -= row[k] * w * r[m - k]
+            r[m] = acc
+        # self/other = (Da/Dn) N/A: numerator m is Da r_m A_0^(n-m) over Dn A_0^(n+1)
+        return TruncSeries._make([d * rm * a0_pow[n - m] for m, rm in enumerate(r)],
+                                 self._den * a0_pow[n + 1], n)
 
     def __rtruediv__(self, other):
         return self.inverse() * _as_fraction(other)

@@ -9,7 +9,7 @@ family in isolation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from . import formulas, oracle, patterns, rungraph
@@ -41,16 +41,16 @@ KNOWN_DESARRANGEMENTS = {
 DERANGEMENT_NUMBERS = (1, 0, 1, 2, 9, 44, 265, 1854, 14833, 133496, 1334961, 14684570)
 
 
-@dataclass
-class VerificationReport:
-    subject: str
-    n_range: tuple[int, int]
-    verdicts: dict[int, str] = field(default_factory=dict)
-    n_requested: int | None = None  # the n_max asked for; defaults to the range's top
+class VerificationReport(namedtuple("VerificationReport",
+                                    "subject n_range verdicts n_requested")):
+    """One check's verdict per n over n_range; n_requested is the n_max asked
+    for, by default the range's top.  record() fills the verdicts."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_requested is None:
-            self.n_requested = self.n_range[1]
+    def __new__(cls, subject: str, n_range: tuple[int, int], verdicts=None,
+                n_requested: int | None = None):
+        return super().__new__(cls, subject, n_range, {} if verdicts is None else verdicts,
+                               n_range[1] if n_requested is None else n_requested)
 
     @property
     def clamped(self) -> bool:
@@ -82,14 +82,16 @@ CHECKS = {}  # check name -> check(n_max), in registration order
 
 def _check(name: str, subject: str, n_min: int, limit: int):
     """Register fill(rep, top) as a check over n_min..min(n_max, limit);
-    a miscopied formula makes the check fail, not crash."""
+    a miscopied formula makes the check fail at its first inconsistent
+    row, not crash."""
     def register(fill):
         def check(n_max: int) -> VerificationReport:
             rep = VerificationReport(subject, (n_min, min(n_max, limit)), n_requested=n_max)
             try:
                 fill(rep, rep.n_range[1])
             except formulas.TranscriptionError as exc:
-                rep.record(rep.n_range[1], False, f"formula transcription: {exc}")
+                row = rep.n_range[1] if exc.row is None else exc.row
+                rep.record(row, False, f"formula transcription: {exc}")
             return rep
         check.__name__, check.__doc__ = fill.__name__, fill.__doc__
         CHECKS[name] = check

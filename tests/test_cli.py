@@ -1,6 +1,8 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -10,7 +12,8 @@ from desarrange import cli, patterns, verify
 from reference_tables import derangement_numbers
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
-SPECS = pathlib.Path(__file__).resolve().parent.parent / "src" / "desarrange" / "specs"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+SPECS = SRC / "desarrange" / "specs"
 
 
 def run(capsys, *argv):
@@ -144,6 +147,13 @@ def test_usage_errors_exit_2(capsys):
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.err.count("error:") == 1 and captured.out == ""
+    # an unknown check or sequence id is listed against the valid ones
+    assert cli.main(["verify", "--only", "nope"]) == 2
+    assert capsys.readouterr().err == (f"error: unknown check 'nope'; have "
+                                       f"{sorted(verify.CHECKS)}\n")
+    assert cli.main(["seq", "nope", "3"]) == 2
+    assert capsys.readouterr().err == (f"error: unknown sequence 'nope'; have "
+                                       f"{patterns.SEQUENCE_IDS} or d(<patterns>)\n")
     # over-cap requests are usage errors too, from every subcommand
     for argv in (["verify", "--n-max", "4"], ["conjecture", "--n-max", "4"],
                  ["tables", "1"]):
@@ -156,6 +166,34 @@ def test_usage_errors_exit_2(capsys):
                      "--order", "10", "--oracle"]) == 2
     captured = capsys.readouterr()
     assert captured.err.count("error:") == 1 and captured.out == ""
+
+
+_LOADED_LAYERS = """
+import json, sys
+sys.path.insert(0, {src!r})
+from desarrange import cli
+cli.build_parser()
+argv = {argv!r}
+if argv:
+    cli.main(argv)
+print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "desarrange"),
+                  "dataclasses" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv, runs", [
+    ([], set()),
+    (["runthm", "fig1", "-i", "1", "-j", "3", "--order", "5"], {"rungraph"}),
+    (["tables", "2", "--n-max", "5"], {"formulas"}),
+], ids=["parser", "runthm", "tables"])
+def test_a_fresh_process_loads_only_the_layers_it_runs(argv, runs):
+    code = _LOADED_LAYERS.format(src=str(SRC), argv=argv)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    modules, has_dataclasses = json.loads(out.splitlines()[-1])
+    layers = {"cli", "perms", "series", *runs}
+    assert modules == sorted({"desarrange", *(f"desarrange.{m}" for m in layers)})
+    assert not has_dataclasses
 
 
 def _fig2_json():

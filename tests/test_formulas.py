@@ -9,7 +9,7 @@ from desarrange.formulas import (
     specialization_checks,
 )
 from desarrange.patterns import catalan, fine, jacobsthal
-from desarrange.series import Poly, exp_series
+from desarrange.series import Poly, exp_series, poly_series
 
 from reference_tables import DERANGEMENT_NUMBERS, STAT_TABLES
 
@@ -179,6 +179,21 @@ def test_rows_to_n30():
         assert rows[n] == Poly(a), n
         a = [(k + 1) * (a[k] if k < len(a) else 0) + (n + 1 - k) * (a[k - 1] if k else 0)
              for k in range(n + 1)]
+
+
+def test_a_stray_constant_term_fails_on_its_row_sum(monkeypatch, capsys):
+    # x^5 adds 5! to row 5 at every t: the rows still fit and hold counts,
+    # but row 5 sums to 164 where there are d_5 = 44 desarrangements
+    from desarrange import cli
+    monkeypatch.setitem(formulas.FORMULAS, "des", (1, lambda t, order: (
+        formulas._des(t, order) + poly_series([0, 0, 0, 0, 0, 1], order))))
+    with pytest.raises(formulas.TranscriptionError, match="^row 5: sums to 164,"):
+        distribution_polynomials("des", 12)
+    assert cli.main(["verify", "--only", "tables"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("FAIL statistic-tables")
+    assert "n=5: mismatch(formula transcription: row 5: sums to 164," in out
+    assert err == ""
 
 
 # Two miscopied joint pk/des formulas: a stray factor s breaks the

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import json
 
@@ -93,7 +92,7 @@ COMPLEMENT = patterns.Bijection(
 def test_a_new_bijection_needs_only_its_record(monkeypatch, declared, failure):
     # verify knows the complement map only through its record; each wrong
     # declaration fails for its own reason
-    record = dataclasses.replace(COMPLEMENT, **declared)
+    record = COMPLEMENT._replace(**declared)
     monkeypatch.setitem(patterns.BIJECTIONS, "complement", record)
     report = verify.check_bijections(6)
     assert report.ok is (failure is None)
@@ -104,8 +103,8 @@ def test_a_new_bijection_needs_only_its_record(monkeypatch, declared, failure):
 def test_a_map_raising_on_its_declared_domain_fails(monkeypatch):
     # declared on all 132-avoiders, the toggle meets 231, whose maximum is
     # at neither end, and its guard raises: a failed check, not a crash
-    wide = dataclasses.replace(patterns.BIJECTIONS["132_231_toggle"],
-                               domain=(patterns.parse_patterns("132"), "all"))
+    wide = patterns.BIJECTIONS["132_231_toggle"]._replace(
+        domain=(patterns.parse_patterns("132"), "all"))
     monkeypatch.setitem(patterns.BIJECTIONS, "132_231_toggle", wide)
     report = verify.check_bijections(6)
     assert not report.ok
@@ -121,7 +120,7 @@ PROOF_RECORDS = [*patterns.BIJECTIONS.values(), *patterns.SIMION_SCHMIDT]
 def test_verify_catches_a_broken_bijection(monkeypatch, name, side):
     record = next(b for b in PROOF_RECORDS if b.name == name)
     real = getattr(record, side)
-    broken = dataclasses.replace(record, **{side: lambda *args: real(*args)[::-1]})
+    broken = record._replace(**{side: lambda *args: real(*args)[::-1]})
     if name in patterns.BIJECTIONS:
         monkeypatch.setitem(patterns.BIJECTIONS, name, broken)
     else:
