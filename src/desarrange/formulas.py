@@ -3,14 +3,16 @@ Closed-form generating functions and the interpolation layer that turns
 them into distribution polynomials.
 
 Statistic variables are never handled symbolically: a formula is evaluated
-at concrete rational points of t (and s), giving plain rational x-series,
-and the degree-bounded distribution polynomial of each row is recovered by
-exact interpolation (series.interpolate_rows: the rows of a table share
-one node set, whose divided-difference weights are computed once, and each
-degree-n row then costs O(n_max^2) integer operations).  Every row n of a
-table with rows 0..n_max goes through all n_max + 2 sample points, n + 1
-of which determine it; the other n_max + 1 - n are spare points that
-double as a transcription check.
+at concrete rational points of t, giving plain rational x-series, and the
+degree-bounded distribution polynomial of each row is recovered by exact
+interpolation (series.interpolate_rows: the rows of a table share one node
+set, whose divided-difference weights are computed once, and each degree-n
+row then costs O(n_max^2) integer operations).  Every row n of a table with
+rows 0..n_max goes through all n_max + 2 sample points, n + 1 of which
+determine it; the other n_max + 1 - n are spare points that double as a
+transcription check.  A joint formula is evaluated at the one value
+s = 2^B, with 2^(B-1) > n_max!, so the same fit in t yields integers whose
+base-2^B digits are the s-coefficients: one fit path for every table.
 
 Every formula that the source material states with a square root
 (sqrt(1-t), or the combined radicals in the double-ascent/descent and
@@ -39,10 +41,11 @@ import csv
 import io
 from collections import namedtuple
 from fractions import Fraction
+from math import factorial
 
 from .series import (
     ConstantTermError, InterpolationError, Poly, TruncSeries,
-    cosh_even, exp_series, format_rational, interpolate_rows, poly_series, sinh_even_div,
+    cosh_even, exp_series, interpolate_rows, poly_series, sinh_even_div,
 )
 
 
@@ -308,40 +311,55 @@ def good_t_points(tag: str, count: int, order: int, s=None):
     out = []
     t = 2
     while len(out) < count:
-        if s is None or Fraction(t) != Fraction(s):
-            try:
-                ser = evaluate_formula(tag, t=t, s=s, order=order)
-            except PoleError:
-                ser = None
-            if ser is not None:
-                out.append((Fraction(t), ser))
-        t += 1
         if t > 2 + 20 * count:
             raise PoleError(f"could not find {count} good points for {tag}")
+        try:
+            out.append((Fraction(t), evaluate_formula(tag, t=t, s=s, order=order)))
+        except PoleError:
+            pass
+        t += 1
     return out
 
 
-def _count_rows(xs, rows, ns, wheres):
-    """Yield the interpolants of interpolate_rows(xs, rows, ns): the values
-    from table row n fit a polynomial of degree <= n, whose coefficients
-    must all be counts; wheres names each row in errors."""
-    fits = interpolate_rows(xs, rows, ns)
-    for n, where in zip(ns, wheres):
+def _sampled_rows(points, n_max: int):
+    """Yield, for n = 0..n_max, the polynomial of degree <= n through the
+    EGF values n! [x^n] at the points; its coefficients must all be counts."""
+    xs = [v for v, _ in points]
+    rows = ([ser.egf_coeff(n) for _, ser in points] for n in range(n_max + 1))
+    fits = interpolate_rows(xs, rows, range(n_max + 1))
+    for n in range(n_max + 1):
         try:
             poly = next(fits)
         except InterpolationError as exc:
-            raise TranscriptionError(f"{where}: {exc}", n) from exc
+            raise TranscriptionError(f"row {n}: {exc}", n) from exc
         for c in poly.coeffs:
             if c.denominator != 1 or c < 0:
-                raise TranscriptionError(f"{where}: coefficient {c} not a count", n)
+                raise TranscriptionError(f"row {n}: coefficient {c} not a count", n)
         yield poly
 
 
-def _sampled_rows(points, n_max: int):
-    """Degree-n interpolants of the EGF values n! [x^n] at the points, n = 0..n_max."""
-    xs = [v for v, _ in points]
-    rows = ([ser.egf_coeff(n) for _, ser in points] for n in range(n_max + 1))
-    return _count_rows(xs, rows, range(n_max + 1), (f"row {n}" for n in range(n_max + 1)))
+def _unpacked(poly: Poly, n: int, bits: int) -> BivarPoly:
+    """Row n of a joint table from its fit at s = 2^bits: the base-2^bits
+    digits of the t^j coefficient are the coefficients of s^0 t^j, s^1 t^j, ...
+    Each must be a count of at most n!, and none may sit above s^n."""
+    entries = {}
+    most = factorial(n)
+    low = (1 << bits) - 1
+    for j, c in enumerate(poly.coeffs):
+        packed = c.numerator  # a count, as _sampled_rows checked
+        i = 0
+        while packed:
+            digit = packed & low
+            if digit > most:
+                raise TranscriptionError(
+                    f"row {n}: s^{i} t^{j} coefficient {digit} exceeds {n}! = {most}", n)
+            if digit and i > n:
+                raise TranscriptionError(f"row {n}: term s^{i} t^{j} above s-degree {n}", n)
+            if digit:
+                entries[i, j] = digit
+            packed >>= bits
+            i += 1
+    return BivarPoly(entries)
 
 
 def _row_sums_checked(table: DistributionTable) -> DistributionTable:
@@ -365,45 +383,22 @@ def _row_sums_checked(table: DistributionTable) -> DistributionTable:
 def distribution_polynomials(tag: str, n_max: int) -> DistributionTable:
     """Rows 0..n_max of the distribution encoded by the named formula.
 
-    Each node set is fitted once for all rows (series.interpolate_rows).
-    After the fits, every row must total the size of its ROW_SUPPORT class:
-    a stray term constant in t and s fits, and only its row sum shows it.
+    All rows are fitted in t on one node set (series.interpolate_rows).  A
+    joint formula is sampled at the one point s = 2^B, where 2^(B-1) > n_max!
+    bounds every count: each fitted t-coefficient then packs the
+    s-coefficients as its base-2^B digits (Kronecker substitution).  After
+    the fits, every row must total the size of its ROW_SUPPORT class: a
+    stray term constant in t and s fits, and only its row sum shows it.
     """
     arity = FORMULAS[tag][0]
     if arity == 0:
         raise ValueError(f"{tag} carries no statistic variable")
-    order = n_max + 1
-    if arity == 1:
-        pts = good_t_points(tag, n_max + 2, order)
-        rows = dict(enumerate(_sampled_rows(pts, n_max)))
-        return _row_sums_checked(DistributionTable(tag, rows))
-
-    # two variables: per-s interpolation in t, then interpolation in s; the
-    # row-n fits in t run just before the row-n fits in s that read them
-    s_values = [Fraction(v) for v in range(2, 2 + n_max + 2)]
-    t_fits = [_sampled_rows(good_t_points(tag, n_max + 2, order, s=sv), n_max)
-              for sv in s_values]
-
-    def s_rows():  # for each n and t-exponent j <= n, the t^j coefficients across s
-        for n in range(n_max + 1):
-            t_polys = [next(fits) for fits in t_fits]
-            for j in range(n + 1):
-                yield [poly.coeff(j) for poly in t_polys]
-
-    keys = [(n, j) for n in range(n_max + 1) for j in range(n + 1)]
-    s_polys = _count_rows(s_values, s_rows(), [n for n, _ in keys],
-                          (f"row {n}, t^{j} coefficient in s" for n, j in keys))
-    entries = {n: {} for n in range(n_max + 1)}
-    for (n, j), s_poly in zip(keys, s_polys):
-        for i, c in enumerate(s_poly.coeffs):
-            if c:
-                entries[n][(i, j)] = c
-    return _row_sums_checked(DistributionTable(tag, {n: BivarPoly(e) for n, e in entries.items()}))
-
-
-def rval_polynomials(n_max: int) -> DistributionTable:
-    """Right-valley rows 0..n_max over desarrangements (see rval_rows)."""
-    return DistributionTable("rval", rval_rows(distribution_polynomials("pk", n_max).rows))
+    bits = factorial(n_max).bit_length() + 1
+    s = 2 ** bits if arity == 2 else None
+    points = good_t_points(tag, n_max + 2, n_max + 1, s=s)
+    rows = {n: poly if s is None else _unpacked(poly, n, bits)
+            for n, poly in enumerate(_sampled_rows(points, n_max))}
+    return _row_sums_checked(DistributionTable(tag, rows))
 
 
 def rval_rows(pk_rows: dict) -> dict:
@@ -425,14 +420,9 @@ class CheckResult(namedtuple("CheckResult", "name ok details", defaults=("",))):
 SPECIALIZATION_TAGS = ("des", "eulerian", "joint_pk_des", "joint_pix_des")
 
 
-def specialization_checks(n_max: int = 8) -> list[CheckResult]:
-    """Formula-side consistency identities between the closed forms."""
-    return specialization_results({tag: distribution_polynomials(tag, n_max).rows
-                                   for tag in SPECIALIZATION_TAGS})
-
-
 def specialization_results(tables: dict) -> list[CheckResult]:
-    """specialization_checks on rows 0..n_max already built for SPECIALIZATION_TAGS."""
+    """Formula-side identities between the closed forms, on rows 0..n_max
+    already built for SPECIALIZATION_TAGS."""
     results = []
     des_rows, eul_rows, pkdes, pixdes = (tables[tag] for tag in SPECIALIZATION_TAGS)
     n_max = max(des_rows)

@@ -37,7 +37,3 @@ def marginal(joint: dict, index: int) -> dict:
     for key, c in joint.items():
         out[key[index]] += c
     return dict(out)
-
-
-def class_size(n: int, klass: str = "desarrangements") -> int:
-    return sum(tally(n, (), klass, lambda p: None).values())

@@ -345,7 +345,7 @@ def contains_pattern(p, sigma) -> bool:
 
 # --- prefix walker: the S_n census and generated avoiders ---
 
-CENSUS_MAX = 9  # tally reads the census up to this length and walks or streams above it
+CENSUS_MAX = 9  # tally reads the census up to this length and walks the class above it
 
 # _walk computes what lies below a prefix with TAIL letters left once per
 # walker state and replays it for every prefix in that state; 0 turns the
@@ -551,11 +551,11 @@ def tally(n: int, patterns, klass: str, value) -> dict:
     number of fixed points, as every statistic in STAT_FUNCTIONS,
     descent_composition, is_desarrangement, is_derangement and pix do.
     Up to CENSUS_MAX, value is evaluated once per (descent word, fix) group
-    of the census, on the group's first member.  Above it, a nonempty
-    pattern set walks only its avoiders, grouped the same way, and the
-    empty set streams enumerate_class.  Keys come in the lexicographic
-    order of their first permutation.  Lengths above the enumeration cap
-    raise CapExceededError.
+    of the census, on the group's first member.  Above it, tally walks only
+    the class members that avoid the patterns (all of them for the empty
+    set), grouped the same way.  Keys come in the lexicographic order of
+    their first permutation.  Lengths above the enumeration cap raise
+    CapExceededError.
 
     >>> tally(4, (), "desarrangements", des)
     {1: 3, 2: 5, 3: 1}
@@ -565,8 +565,6 @@ def tally(n: int, patterns, klass: str, value) -> dict:
     forbid = pattern_mask(patterns)
     member = class_predicate(klass)
     check_cap(n)
-    if n > CENSUS_MAX and not forbid:
-        return dict(Counter(map(value, enumerate_class(n, klass))))
     keyed = _census(n) if n <= CENSUS_MAX else _keyed(n, forbid, klass)
     groups = {}
     for (mask, dw, fx), (count, p) in keyed.items():

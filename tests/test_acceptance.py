@@ -39,7 +39,7 @@ def test_criterion_02_oracle_equivalence():
     stats = ["des", "pk", "val", "dasc", "ddes", "rval"]
     tables = {s: distribution_polynomials(s, 9).rows
               for s in ("des", "pk", "val", "dasc", "ddes")}
-    tables["rval"] = formulas.rval_polynomials(9).rows
+    tables["rval"] = formulas.rval_rows(tables["pk"])
     for n in range(10):
         joint = oracle.distribution(n, stats, "desarrangements")
         for i, name in enumerate(stats):

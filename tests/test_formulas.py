@@ -4,9 +4,8 @@ import pytest
 
 from desarrange import formulas, oracle
 from desarrange.formulas import (
-    BivarPoly, PoleError, distribution_polynomials, evaluate_formula,
-    fix_egf, good_t_points, peak_egf, right_valley_egf, rval_polynomials,
-    specialization_checks,
+    SPECIALIZATION_TAGS, BivarPoly, PoleError, distribution_polynomials, evaluate_formula,
+    fix_egf, good_t_points, peak_egf, right_valley_egf, rval_rows, specialization_results,
 )
 from desarrange.patterns import catalan, fine, jacobsthal
 from desarrange.series import Poly, exp_series, poly_series
@@ -61,7 +60,7 @@ def test_eulerian_rows():
 
 
 def test_rval_rows():
-    rows = rval_polynomials(6).rows
+    rows = rval_rows(distribution_polynomials("pk", 6).rows)
     assert rows[0] == Poly([1])
     joint = oracle.distribution(5, ["rval"], "desarrangements")
     assert {k: Fraction(v) for k, v in joint.items()} == \
@@ -106,7 +105,8 @@ def test_bivar_substitutions():
 
 
 def test_specialization_checks_pass():
-    results = specialization_checks(6)
+    results = specialization_results({tag: distribution_polynomials(tag, 6).rows
+                                      for tag in SPECIALIZATION_TAGS})
     assert all(r.ok for r in results), [r for r in results if not r.ok]
     names = [r.name for r in results]
     assert "joint_pix_des at t=1 equals fix rows" in names
@@ -169,16 +169,24 @@ def test_row_sums():
 def test_rows_to_n30():
     from reference_tables import derangement_numbers
     d = derangement_numbers(60)
-    for tag in ("des", "pk", "val", "dasc", "ddes"):
-        rows = distribution_polynomials(tag, 60).rows
+    tables = {tag: distribution_polynomials(tag, 60).rows
+              for tag in ("des", "pk", "val", "dasc", "ddes")}
+    for tag, rows in tables.items():
         assert [sum(rows[n].coeffs, Fraction(0)) for n in range(61)] == d, tag
     # Eulerian numbers A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1)
-    rows = distribution_polynomials("eulerian", 60).rows
+    eul = distribution_polynomials("eulerian", 60).rows
     a = [1]  # A(0, 0)
     for n in range(61):
-        assert rows[n] == Poly(a), n
+        assert eul[n] == Poly(a), n
         a = [(k + 1) * (a[k] if k < len(a) else 0) + (n + 1 - k) * (a[k - 1] if k else 0)
              for k in range(n + 1)]
+    # the joint tables, whose s-coefficients are read off packed digits
+    pkdes = distribution_polynomials("joint_pk_des", 30).rows
+    pixdes = distribution_polynomials("joint_pix_des", 30).rows
+    for n in range(31):
+        assert pkdes[n].substitute_s(1) == tables["des"][n], n
+        assert pixdes[n].substitute_s(0) == tables["des"][n], n
+        assert pixdes[n].substitute_s(1) == eul[n], n
 
 
 def test_a_stray_constant_term_fails_on_its_row_sum(monkeypatch, capsys):
@@ -215,3 +223,24 @@ def test_miscopied_joint_formula_fails_verify(monkeypatch, capsys, typo):
     assert out.startswith("FAIL specializations")
     assert "formula transcription: row 0" in out
     assert err == ""
+
+
+# Two miscopied joint pk/des formulas whose packed values still fit in t
+# with counts as coefficients; only the base-2^B digits of row 2 show them.
+_MISCOPIED_PK_DES_DIGITS = {
+    # row 2 gains 2s - 2: a negative s^0 coefficient, same row sum d_2 = 1
+    "plus_(s-1)x^2": (lambda s, t, order: formulas._joint_pk_des(s, t, order)
+                      + poly_series([0, 0, s - 1], order), "exceeds 2!"),
+    # row 2 gains 2s^3: s-degree 3 in a row of length 2
+    "plus_s^3x^2": (lambda s, t, order: formulas._joint_pk_des(s, t, order)
+                    + poly_series([0, 0, s ** 3], order), "above s-degree 2"),
+}
+
+
+@pytest.mark.parametrize("typo", sorted(_MISCOPIED_PK_DES_DIGITS))
+def test_packed_s_digits_catch_a_miscopied_joint_formula(monkeypatch, typo):
+    build, message = _MISCOPIED_PK_DES_DIGITS[typo]
+    monkeypatch.setitem(formulas.FORMULAS, "joint_pk_des", (2, build))
+    with pytest.raises(formulas.TranscriptionError, match=f"^row 2: .*{message}") as info:
+        distribution_polynomials("joint_pk_des", 5)
+    assert info.value.row == 2

@@ -3,7 +3,7 @@ import inspect
 
 import pytest
 
-from desarrange import oracle
+from desarrange import oracle, perms
 
 from reference_tables import DERANGEMENT_NUMBERS
 
@@ -32,8 +32,8 @@ def test_distribution_with_restriction():
 
 def test_class_sizes():
     for n in range(8):
-        assert oracle.class_size(n, "desarrangements") == DERANGEMENT_NUMBERS[n]
-        assert oracle.class_size(n, "derangements") == DERANGEMENT_NUMBERS[n]
+        assert perms.class_count(n, (), "desarrangements") == DERANGEMENT_NUMBERS[n]
+        assert perms.class_count(n, (), "derangements") == DERANGEMENT_NUMBERS[n]
 
 
 def test_unknown_statistic():

@@ -306,15 +306,20 @@ TALLY_VALUES = {
 }
 
 
-def test_tally_walk_and_stream_paths_match_the_census(monkeypatch):
-    # with CENSUS_MAX lowered to 4, lengths 5..7 take the avoider walk
-    # (nonempty sets) or the enumerate_class stream (empty set)
+def test_tally_walk_matches_the_census(monkeypatch):
+    # with CENSUS_MAX lowered to 4, lengths 5..7 take the walk, which for
+    # the empty set covers every member of the class; tally never streams
     sets = [(), ((3, 2, 1),), ((1, 3, 2), (2, 1, 3)), ((1, 2, 3), (2, 3, 1), (3, 1, 2))]
     cases = list(itertools.product(range(8), sets, perms.CLASSES, TALLY_VALUES))
     want = {case: perms.tally(case[0], case[1], case[2], TALLY_VALUES[case[3]])
             for case in cases}
     built = perms._census.cache_info().misses
     monkeypatch.setattr(perms, "CENSUS_MAX", 4)
+
+    def no_stream(*args, **kwargs):
+        raise AssertionError("tally streamed enumerate_class")
+
+    monkeypatch.setattr(perms, "enumerate_class", no_stream)
     for case in cases:
         n, pats, klass, name = case
         assert perms.tally(n, pats, klass, TALLY_VALUES[name]) == want[case], case
