@@ -349,24 +349,19 @@ CENSUS_MAX = 9  # tally reads the census up to this length and walks the class a
 
 # _walk computes what lies below a prefix with TAIL letters left once per
 # walker state and replays it for every prefix in that state; 0 turns the
-# memo off.  3 is the fastest depth: the n = 9 census walk takes about
-# 0.75 s at 2, 0.5 s at 3 and 0.75 s again at 4, where 1,345 tables of 24
-# completions each outweigh the nodes they save (Python 3.11, 2-CPU host).
-# At 3 the memo holds about 1.4 MB at n = 9 and is freed with the walk.
-TAIL = 3
-
-# Walks shorter than this skip the memo: with n - 3 letters placed few
-# prefixes share a state.  The 126 avoider walks (63 nonempty sets, all and
-# desarrangements) take 82-90 ms with the memo against 63-65 ms without at
-# n = 7, and 218-248 against 259-265 ms at n = 8; the census takes 21
-# against 23 ms at n = 7 and 80-94 against 151-168 ms at n = 8 (timeit,
-# best of 5-7, one process, Python 3.11, 2-CPU host).
-MEMO_FROM = 8
+# memo off.  4 is the faster depth for the walks that cost most: against 3,
+# census(9) takes 0.23 s instead of 0.30 s, the empty-set tally walk of S_10
+# 1.6 s instead of 2.4 s and avoiders(11, {132}) 0.10 s instead of 0.14 s;
+# census(8) takes 0.049 s instead of 0.036 s, and verify_all(9) about 0.77 s
+# at either.  At 5, census(9) takes 0.45 s.  At 4 the n = 9 census memo
+# holds 756 states and 350 distinct tail tables (best of 5, one process,
+# Python 3.11, 2-CPU host).
+TAIL = 4
 
 _NO_TAIL = ((0, 0, 0, ()),)  # the one empty completion of a full-length prefix
 
 
-def _walk(n: int, forbid: int, klass: str, visit):
+def _walk(n: int, track: int, forbid: int, klass: str, visit):
     """Call visit(prefix, mask, descent word, fix, tails) on the class, in
     lexicographic order.
 
@@ -375,40 +370,40 @@ def _walk(n: int, forbid: int, klass: str, visit):
     comes shifted past the tail) and fix + fixed points.  A full-length
     prefix comes with the one empty tail.
 
-    The walk appends the unused values in increasing order.  For each
-    tracked length-3 pattern it carries the bitmask over values of the
-    letters whose appending would complete that pattern, so the pattern
-    mask costs O(1) per appended letter.  With U the used values and c the
-    appended letter: some u in U below c makes 123 complete on (c, n], 132
-    on (min U, c) and 231 on [1, max(U below c)); some u in U above c makes
-    321 complete on [1, c), 312 on (c, max U) and 213 on (min(U above c), n].
+    The walk appends the unused values in increasing order, so every value
+    still unused is placed later, and a pattern is certain from the step
+    that gives it a completion value among the unused ones.  With U the used
+    values and c the appended letter: some u in U below c makes 123
+    complete on (c, n], 132 on (min U, c) and 231 on [1, max(U below c));
+    some u in U above c makes 321 complete on [1, c), 312 on (c, max U) and
+    213 on (min(U above c), n].  Every occurrence of a pattern is found
+    this way at its middle letter, so the step that places c settles each
+    pattern in O(1), and nothing about patterns is carried forward.
 
-    The census (forbid 0) tracks all six patterns, and the mask is the set
-    of patterns each member contains.  An avoider walk tracks only the
-    forbidden patterns: the union of their completion masks is the set of
-    dead letters, which each prefix drops from its candidates once, so no
-    member contains a tracked pattern and the mask stays 0.  Prefixes that
-    can no longer end in the class are pruned too, so the work grows with
-    the number of permutations reached rather than with n!.
+    The mask holds the patterns of track (bitmask over PATTERNS) that each
+    member contains: the census tracks all six, an avoider walk none.  A
+    prefix that makes a pattern of forbid certain is dropped, and so is one
+    that can no longer end in the class, so the work grows with the number
+    of permutations reached rather than with n!.
 
-    Below a prefix the walk reads only its used values, its last letter,
-    whether it has an ascent yet and the tracked completion masks at the
-    unused values.  So in walks of length MEMO_FROM and up, the prefixes
-    with TAIL letters left share one memo keyed by exactly that state, and
-    the first prefix in a state runs the walk below it, from zeroed mask,
-    descent word and fix count, to record its tails.
+    Below a prefix the walk reads only its used values, its last letter and
+    whether it has an ascent yet.  So the prefixes with TAIL letters left
+    share one memo keyed by exactly that state, and the first prefix in a
+    state runs the walk below it, from zeroed mask, descent word and fix
+    count, to record its tails.
     """
     full = (1 << (n + 1)) - 2  # bits 1..n, one per value
     derange = klass == "derangements"
     desarr = klass == "desarrangements"
-    t123, t132, t213, t231, t312, t321 = ((forbid or 63) >> k & 1 for k in range(6))
-    cut = n - TAIL if 0 < TAIL < n and n >= MEMO_FROM else -1  # the length that reads the memo
+    # the patterns each step settles
+    w123, w132, w213, w231, w312, w321 = ((track | forbid) >> k & 1 for k in range(6))
+    cut = n - TAIL if 0 < TAIL < n else -1  # the length that reads the memo
     memo = {}
     shared = {}  # one copy of each distinct tail table
     prefix = []
     emit = visit
 
-    def record(*state):
+    def record(used, last, down):
         # the tails below a state, in lexicographic order, by the same step
         nonlocal emit
         tails = []
@@ -418,86 +413,76 @@ def _walk(n: int, forbid: int, klass: str, visit):
             tails.append(shared.setdefault(tail, tail))
 
         emit = keep
-        step(cut, *state)
+        step(cut, used, last, 0, 0, 0, down)
         emit = visit
         tails = tuple(tails)
         return shared.setdefault(tails, tails)
 
-    def step(k, used, lo, hi, last, mask, dw, fx, down, e123, e132, e213, e231, e312, e321):
-        # k letters placed, lo/hi their min/max; down: no ascent yet
+    def step(k, used, last, mask, dw, fx, down):
+        # k letters placed; down: no ascent yet
         pos = k + 1
-        free = full & ~used
-        if forbid:  # the dead letters
-            free &= ~(e123 | e132 | e213 | e231 | e312 | e321)
-        if derange:  # no fixed point
-            free &= ~(1 << pos)
+        unused = full & ~used
+        free = unused & ~(1 << pos) if derange else unused  # no fixed point
+        low = used & -used  # the bit of min U
         while free:
             bit = free & -free
             free ^= bit
             c = bit.bit_length() - 1
-            m = mask
-            if not forbid:  # an avoider walk has no live letter that sets a bit
-                if e123 & bit:
-                    m |= 1
-                if e132 & bit:
-                    m |= 2
-                if e213 & bit:
-                    m |= 4
-                if e231 & bit:
-                    m |= 8
-                if e312 & bit:
-                    m |= 16
-                if e321 & bit:
-                    m |= 32
             d = down
             if down and last < c and k:  # the first ascent is at position k
                 if desarr and k % 2:
                     continue
                 d = False
             dw_c = dw << 1 | (c < last)
-            if pos == n:  # the last letter: no pattern can grow further
+            fx_c = fx + (c == pos)
+            if pos == n:  # the last letter: every pattern is settled
                 if not (desarr and d and n % 2):
                     prefix.append(c)
-                    emit(prefix, m, dw_c, fx + (c == pos), _NO_TAIL)
+                    emit(prefix, mask, dw_c, fx_c, _NO_TAIL)
                     prefix.pop()
                 continue
-            f123, f132, f213, f231, f312, f321 = e123, e132, e213, e231, e312, e321
-            if lo < c:
-                if t123:
-                    f123 |= full & -(bit << 1)
-                if t132:
-                    f132 |= bit - (2 << lo)
-                if t231:
-                    f231 |= (1 << ((used & (bit - 1)).bit_length() - 1)) - 2
-            if hi > c:
-                if t321:
-                    f321 |= bit - 2
-                if t312:
-                    f312 |= (1 << hi) - (bit << 1)
-                if t213:
-                    above = used & -(bit << 1)
-                    f213 |= full & -((above & -above) << 1)
+            # the rules above, each asking whether an unused value lies in
+            # the completion set; a bit set compares above a single bit not
+            # in it iff it holds a higher bit
+            rest = unused ^ bit
+            hit = 0
+            below = used & (bit - 1)
+            if below:
+                if w123 and rest > bit:  # an unused value above c
+                    hit = 1
+                if w132 and rest & (bit - 1) > low:  # one in (min U, c)
+                    hit |= 2
+                if w231 and rest & -rest < below:  # the least one below max(U below c)
+                    hit |= 8
+            if used > bit:  # some used value above c
+                if w321 and rest & (bit - 1):  # an unused value below c
+                    hit |= 32
+                if w312:  # the least unused value above c is below max U
+                    up = rest & -bit
+                    if up and up & -up < used:
+                        hit |= 16
+                if w213:  # an unused value above min(U above c)
+                    above = used & -bit
+                    if rest > above & -above:
+                        hit |= 4
+            if hit & forbid:
+                continue
             prefix.append(c)
             if pos == cut:
-                rest = full & ~(used | bit)
-                key = (used | bit, c, d, f123 & rest, f132 & rest, f213 & rest,
-                       f231 & rest, f312 & rest, f321 & rest)
+                key = (used | bit, c, d)
                 tails = memo.get(key)
                 if tails is None:
-                    tails = memo[key] = record(
-                        used | bit, lo if lo < c else c, hi if hi > c else c, c,
-                        0, 0, 0, d, f123, f132, f213, f231, f312, f321)
+                    tails = memo[key] = record(used | bit, c, d)
                 if tails:
-                    emit(prefix, m, dw_c << TAIL, fx + (c == pos), tails)
+                    emit(prefix, mask | hit, dw_c << TAIL, fx_c, tails)
             else:
-                step(pos, used | bit, lo if lo < c else c, hi if hi > c else c, c, m,
-                     dw_c, fx + (c == pos), d, f123, f132, f213, f231, f312, f321)
+                step(pos, used | bit, c, mask | hit, dw_c, fx_c, d)
             prefix.pop()
 
     if n == 0:
         visit(prefix, 0, 0, 0, _NO_TAIL)
     else:
-        step(0, 0, n + 1, 0, 0, 0, 0, 0, True, 0, 0, 0, 0, 0, 0)
+        step(0, 0, 0, 0, 0, 0, True)
     # step and record refer to each other, so without this the tables would
     # outlive the walk until the cycle collector runs
     memo.clear()
@@ -517,12 +502,12 @@ def census(n: int):
     return _census(n)
 
 
-def _keyed(n: int, forbid: int, klass: str) -> dict:
-    """{(pattern mask, descent word, fix): [count, first member]} over the walk.
+def _keyed(n: int, forbid: int, klass: str, track: int = 0) -> dict:
+    """{(pattern mask, descent word, fix): [count, first member]} over the
+    members of the class that avoid forbid.
 
-    The mask covers only the patterns the walk tracks: all six in the
-    census (forbid 0), and in an avoider walk only the forbidden ones,
-    which no member contains, so every key there carries mask 0.
+    The mask holds only the tracked patterns: all six in the census, and
+    none in tally's walk, so every key there carries mask 0.
     """
     out = {}
 
@@ -535,13 +520,13 @@ def _keyed(n: int, forbid: int, klass: str) -> dict:
             else:
                 entry[0] += 1
 
-    _walk(n, forbid, klass, visit)
+    _walk(n, track, forbid, klass, visit)
     return out
 
 
 @functools.lru_cache(maxsize=None)
 def _census(n: int):
-    return MappingProxyType({key: tuple(entry) for key, entry in _keyed(n, 0, "all").items()})
+    return MappingProxyType({key: tuple(entry) for key, entry in _keyed(n, 0, "all", 63).items()})
 
 
 def tally(n: int, patterns, klass: str, value) -> dict:
@@ -628,7 +613,7 @@ def avoiders(n: int, patterns, klass: str = "all") -> list[Perm]:
         head = tuple(prefix)
         out.extend(head + tail[3] for tail in tails)
 
-    _walk(n, forbid, klass, visit)
+    _walk(n, 0, forbid, klass, visit)
     return out
 
 

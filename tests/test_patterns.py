@@ -52,11 +52,16 @@ def test_count_class_matches_direct_loop():
                 assert count_class(n, pats, klass) == direct
 
 
-def test_count_class_above_census_range():
+def test_count_class_above_census_range(monkeypatch):
     # above the census, nonempty sets are counted from their generated avoiders
-    for label in ("321", "213", "123,132", "132,231", "123,132,213", "231,312,321"):
-        pats = parse_patterns(label)
-        assert count_class(10, pats) == closed_form_count(10, pats), label
+    monkeypatch.delenv("DESARRANGE_CAP", raising=False)
+    for n in (10, 11):
+        for pats in all_pattern_sets():
+            if pats:
+                assert count_class(n, pats) == closed_form_count(n, pats), \
+                    (n, patterns_label(pats))
+    for sigma in patterns.PATTERNS:
+        assert count_class(11, {sigma}, "all") == sequence("catalan", 11), sigma
 
 
 def test_count_class_cap(monkeypatch):

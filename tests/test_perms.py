@@ -216,19 +216,22 @@ def test_census_matches_per_permutation_counter():
 
 def test_tail_memo_changes_no_walk(monkeypatch):
     # TAIL = 0 walks every prefix; the memo must give the same keys, counts,
-    # first members and members, in the same order, at lengths 8 and 9
+    # first members and members, in the same order, for the census walk
+    # (all six patterns tracked) and for the walks that track none
     memo_tail = perms.TAIL
-    assert memo_tail > 0 and perms.MEMO_FROM <= 8
+    assert memo_tail > 0
     cases = [(n, forbid) for n in range(9) for forbid in range(64)]
     cases += [(9, forbid) for forbid in (1, 18, 32, 56)]  # 123; 132,312; 321; 231,312,321
+    cases += [(10, forbid) for forbid in (2, 32, 56)]  # 132; 321; 231,312,321
     for n, forbid in cases:
         pats = [sigma for k, sigma in enumerate(perms.PATTERNS) if forbid >> k & 1]
+        tracks = (0,) if forbid else (0, 63)
         for klass in perms.CLASSES:
             got = []
             for tail in (memo_tail, 0):
                 monkeypatch.setattr(perms, "TAIL", tail)
-                got.append((list(perms._keyed(n, forbid, klass).items()),
-                            perms.avoiders(n, pats, klass)))
+                got.append(([list(perms._keyed(n, forbid, klass, track).items())
+                             for track in tracks], perms.avoiders(n, pats, klass)))
             assert got[0] == got[1], (n, forbid, klass)
 
 
@@ -243,12 +246,12 @@ def _by_descent_word_and_fix(keyed, keep):
 
 
 def test_avoider_walks_regroup_to_the_census():
-    # an avoider walk tracks only the forbidden patterns, so its masks are 0;
-    # grouped by (descent word, fix) it must still give the census's counts,
-    # first members and order over the avoiders in the class
+    # tally's walk tracks no pattern, so its masks are 0, for the empty set
+    # too; grouped by (descent word, fix) it must still give the census's
+    # counts, first members and order over the avoiders in the class
     for n in range(9):
         census = perms.census(n)
-        for forbid in range(1, 64):
+        for forbid in range(64):
             for klass in perms.CLASSES:
                 member = perms.class_predicate(klass)
                 walked = perms._keyed(n, forbid, klass)
