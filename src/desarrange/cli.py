@@ -119,11 +119,11 @@ def cmd_tables(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import verify
-    try:
-        reports = verify.verify_all(args.n_max, only=args.only)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.only is not None and args.only not in verify.CHECKS:  # the one usage error here
+        print(f"error: unknown check {args.only!r}; have {sorted(verify.CHECKS)}",
+              file=sys.stderr)
         return 2
+    reports = verify.verify_all(args.n_max, only=args.only)
     if args.format == "json":
         _emit(verify.render_json(reports))
     else:

@@ -38,6 +38,7 @@ brute-force oracle tests.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from collections import namedtuple
 from fractions import Fraction
@@ -64,19 +65,6 @@ class TranscriptionError(AssertionError):
         self.row = row
 
 
-# Over which permutation class each statistic row lives (row sums).
-ROW_SUPPORT = {
-    "eulerian": "all",
-    "des": "desarrangements",
-    "pk": "desarrangements",
-    "val": "desarrangements",
-    "dasc": "desarrangements",
-    "ddes": "desarrangements",
-    "joint_pk_des": "desarrangements",
-    "joint_pix_des": "all",
-}
-
-
 def _div(num: TruncSeries, den: TruncSeries) -> TruncSeries:
     try:
         return num / den
@@ -86,10 +74,6 @@ def _div(num: TruncSeries, den: TruncSeries) -> TruncSeries:
 
 def _eulerian(t: Fraction, order: int) -> TruncSeries:
     return _div(TruncSeries.constant(1 - t, order), exp_series(t - 1, order) - t)
-
-
-def _derangement_egf(order: int) -> TruncSeries:
-    return _div(exp_series(-1, order), poly_series([1, -1], order))
 
 
 def _des(t: Fraction, order: int) -> TruncSeries:
@@ -195,22 +179,23 @@ def _jacobsthal_shifted_ogf(order: int) -> TruncSeries:
     return _div(poly_series([1, -1, -1], order), poly_series([1, -1, -2], order))
 
 
-# tag -> (number of statistic variables, builder); a builder takes the
+# tag -> (number of statistic variables, builder, the class whose members a
+# distribution row counts, or None for a plain series); a builder takes the
 # variables it needs, s before t, then the order
 FORMULAS = {
-    "eulerian": (1, _eulerian),
-    "derangement_egf": (0, _derangement_egf),
-    "des": (1, _des),
-    "pk": (1, _pk),
-    "val": (1, _val),
-    "dasc": (1, _dasc),
-    "ddes": (1, _ddes),
-    "joint_pk_des": (2, _joint_pk_des),
-    "joint_pix_des": (2, _joint_pix_des),
-    "catalan_ogf": (0, _catalan_ogf),
-    "fine_ogf": (0, _fine_ogf),
-    "fine_shifted_ogf": (0, _fine_shifted_ogf),
-    "jacobsthal_shifted_ogf": (0, _jacobsthal_shifted_ogf),
+    "eulerian": (1, _eulerian, "all"),
+    "derangement_egf": (0, functools.partial(fix_egf, 0), None),
+    "des": (1, _des, "desarrangements"),
+    "pk": (1, _pk, "desarrangements"),
+    "val": (1, _val, "desarrangements"),
+    "dasc": (1, _dasc, "desarrangements"),
+    "ddes": (1, _ddes, "desarrangements"),
+    "joint_pk_des": (2, _joint_pk_des, "desarrangements"),
+    "joint_pix_des": (2, _joint_pix_des, "all"),
+    "catalan_ogf": (0, _catalan_ogf, None),
+    "fine_ogf": (0, _fine_ogf, None),
+    "fine_shifted_ogf": (0, _fine_shifted_ogf, None),
+    "jacobsthal_shifted_ogf": (0, _jacobsthal_shifted_ogf, None),
 }
 
 
@@ -222,7 +207,7 @@ def evaluate_formula(tag: str, t=None, s=None, order: int = 8) -> TruncSeries:
     """
     if tag not in FORMULAS:
         raise ValueError(f"unknown formula {tag!r}")
-    arity, build = FORMULAS[tag]
+    arity, build, _ = FORMULAS[tag]
     if arity >= 1 and t is None:
         raise ValueError(f"{tag} needs a t value")
     if arity == 2 and s is None:
@@ -276,9 +261,6 @@ class BivarPoly:
 class DistributionTable(namedtuple("DistributionTable", "tag rows")):
     """Rows n -> distribution polynomial (Poly, or BivarPoly for joint tags)."""
     __slots__ = ()
-
-    def row(self, n: int):
-        return self.rows[n]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -363,10 +345,10 @@ def _unpacked(poly: Poly, n: int, bits: int) -> BivarPoly:
 
 
 def _row_sums_checked(table: DistributionTable) -> DistributionTable:
-    """The table, once each row n totals the size of its ROW_SUPPORT class:
+    """The table, once each row n totals the size of its formula's class:
     n! for all permutations, and d_n = n * d_(n-1) + (-1)^n for the
     desarrangements, which are as many as the derangements."""
-    klass = ROW_SUPPORT[table.tag]
+    klass = FORMULAS[table.tag][2]
     sign = 1 if klass == "desarrangements" else 0
     size = 1
     for n in range(len(table.rows)):
@@ -387,7 +369,7 @@ def distribution_polynomials(tag: str, n_max: int) -> DistributionTable:
     joint formula is sampled at the one point s = 2^B, where 2^(B-1) > n_max!
     bounds every count: each fitted t-coefficient then packs the
     s-coefficients as its base-2^B digits (Kronecker substitution).  After
-    the fits, every row must total the size of its ROW_SUPPORT class: a
+    the fits, every row must total the size of its formula's class: a
     stray term constant in t and s fits, and only its row sum shows it.
     """
     arity = FORMULAS[tag][0]

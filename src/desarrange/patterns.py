@@ -70,9 +70,6 @@ def count_class(n: int, patterns, klass: str = "desarrangements") -> int:
 
 # --- classical sequences (indexing pinned to the tables in use) ---
 
-SEQUENCE_IDS = ("catalan", "fine", "jacobsthal", "fibonacci", "a_seq", "derangement")
-
-
 def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
@@ -121,15 +118,17 @@ def derangement(n: int) -> int:
     return d
 
 
+SEQUENCES = {"catalan": catalan, "fine": fine, "jacobsthal": jacobsthal,
+             "fibonacci": fibonacci, "a_seq": a_seq, "derangement": derangement}
+SEQUENCE_IDS = tuple(SEQUENCES)
+
+
 def sequence(tag: str, n: int) -> int:
     if n < 0:
         raise ValueError("sequence index must be non-negative")
-    try:
-        fn = {"catalan": catalan, "fine": fine, "jacobsthal": jacobsthal,
-              "fibonacci": fibonacci, "a_seq": a_seq, "derangement": derangement}[tag]
-    except KeyError:
-        raise ValueError(f"unknown sequence {tag!r}; have {SEQUENCE_IDS}") from None
-    return fn(n)
+    if tag not in SEQUENCES:
+        raise ValueError(f"unknown sequence {tag!r}; have {SEQUENCE_IDS}")
+    return SEQUENCES[tag](n)
 
 
 # --- closed-form counts for all 64 pattern subsets ---
@@ -305,6 +304,44 @@ def _fib_right_trim_inverse(q, grow: int):
     return (*q, m + 1)
 
 
+def _simion_schmidt(p) -> Perm:
+    """Left-to-right minima stay put; every other position receives the
+    smallest unused value exceeding the running minimum."""
+    used = set()
+    out = []
+    cur_min = len(p) + 1
+    for v in p:
+        if v < cur_min:
+            cur_min = v
+            out.append(v)
+        else:
+            c = cur_min + 1
+            while c in used:
+                c += 1
+            out.append(c)
+        used.add(out[-1])
+    return tuple(out)
+
+
+def _simion_schmidt_inverse(q) -> Perm:
+    """As _simion_schmidt, but non-minima receive the largest unused value."""
+    n = len(q)
+    used = set()
+    out = []
+    cur_min = n + 1
+    for v in q:
+        if v < cur_min:
+            cur_min = v
+            out.append(v)
+        else:
+            c = n
+            while c in used:
+                c -= 1
+            out.append(c)
+        used.add(out[-1])
+    return tuple(out)
+
+
 def _av(labels: str, klass: str = "all") -> tuple[frozenset[Perm], str]:
     """An avoidance class: the members of klass avoiding the listed patterns."""
     return parse_patterns(labels), klass
@@ -375,6 +412,13 @@ BIJECTIONS = {
                   _av("231,312,321", "desarrangements"), (-1, -2),
                   "drop a final n, or a final n(n-1)",
                   n_min=3),
+        # Simion-Schmidt over S_n, and restricted to the desarrangements, where
+        # every length up from 2 has members (D_1 is empty)
+        *(Bijection(f"simion_schmidt({klass})", _simion_schmidt, _simion_schmidt_inverse,
+                    _av("123", klass), _av("132", klass), (0,),
+                    "123-avoiders onto 132-avoiders, keeping the left-to-right minima",
+                    n_min=n_min)
+          for klass, n_min in (("all", 0), ("desarrangements", 2))),
     ]
 }
 
@@ -395,6 +439,13 @@ def bijection(name: str, p, direction: str = "forward", grow: int | None = None)
     For the two trim maps the image lives in a union of two lengths, so the
     inverse direction needs grow=1 or grow=2 to say how much longer the
     preimage is.
+
+    >>> bijection("simion_schmidt(all)", (2, 1, 4, 3))
+    (2, 1, 3, 4)
+    >>> bijection("simion_schmidt(all)", (1, 2, 3))
+    Traceback (most recent call last):
+        ...
+    desarrange.patterns.DomainError: input does not avoid 123
     """
     if name not in BIJECTIONS:
         raise ValueError(f"unknown bijection {name!r}; have {sorted(BIJECTIONS)}")
@@ -414,67 +465,6 @@ def bijection(name: str, p, direction: str = "forward", grow: int | None = None)
                          + " or ".join(f"grow={g}" for g in grows))
     _require_member(p, b.target, b.n_min - grow, "inverse input")
     return b.inverse(p, grow)
-
-
-def simion_schmidt(p) -> Perm:
-    """The classic 123-avoiding to 132-avoiding bijection.
-
-    Left-to-right minima stay put; every other position receives the
-    smallest unused value exceeding the running minimum.
-    """
-    _require(avoids(p, {P123}), "input must avoid 123")
-    return _simion_schmidt(p)
-
-
-def simion_schmidt_inverse(q) -> Perm:
-    """Inverse map: non-minima receive the largest unused value instead."""
-    _require(avoids(q, {P132}), "input must avoid 132")
-    return _simion_schmidt_inverse(q)
-
-
-def _simion_schmidt(p) -> Perm:
-    used = set()
-    out = []
-    cur_min = len(p) + 1
-    for v in p:
-        if v < cur_min:
-            cur_min = v
-            out.append(v)
-        else:
-            c = cur_min + 1
-            while c in used:
-                c += 1
-            out.append(c)
-        used.add(out[-1])
-    return tuple(out)
-
-
-def _simion_schmidt_inverse(q) -> Perm:
-    n = len(q)
-    used = set()
-    out = []
-    cur_min = n + 1
-    for v in q:
-        if v < cur_min:
-            cur_min = v
-            out.append(v)
-        else:
-            c = n
-            while c in used:
-                c -= 1
-            out.append(c)
-        used.add(out[-1])
-    return tuple(out)
-
-
-# Simion-Schmidt as proof records, over S_n and restricted to desarrangements;
-# they stay out of BIJECTIONS, whose names bijection() accepts.  Like every
-# BIJECTIONS row they run the unguarded maps: the row states the domain.
-SIMION_SCHMIDT = tuple(
-    Bijection(f"simion_schmidt({klass})", _simion_schmidt, _simion_schmidt_inverse,
-              _av("123", klass), _av("132", klass), (0,),
-              "123-avoiders onto 132-avoiders, keeping the left-to-right minima")
-    for klass in ("all", "desarrangements"))
 
 
 # --- derangement comparison and the pix/fix conjecture ---

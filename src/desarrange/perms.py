@@ -237,8 +237,13 @@ def pix(p) -> int:
     return pixed_factorization(p).iota_len
 
 
-class StatRecord(namedtuple("StatRecord",
-                            "des asc pk val dasc ddes rval fix pix first_ascent")):
+STAT_FUNCTIONS = {
+    "des": des, "asc": asc, "pk": pk, "val": val, "dasc": dasc,
+    "ddes": ddes, "rval": rval, "fix": fix, "pix": pix,
+}
+
+
+class StatRecord(namedtuple("StatRecord", (*STAT_FUNCTIONS, "first_ascent"))):
     """All statistics of one permutation; first_ascent is None for the empty one."""
     __slots__ = ()
 
@@ -250,17 +255,8 @@ def statistics(p) -> StatRecord:
     2
     """
     p = tuple(p)
-    return StatRecord(
-        des=des(p), asc=asc(p), pk=pk(p), val=val(p), dasc=dasc(p),
-        ddes=ddes(p), rval=rval(p), fix=fix(p), pix=pix(p),
-        first_ascent=first_ascent(p),
-    )
+    return StatRecord(*(f(p) for f in STAT_FUNCTIONS.values()), first_ascent(p))
 
-
-STAT_FUNCTIONS = {
-    "des": des, "asc": asc, "pk": pk, "val": val, "dasc": dasc,
-    "ddes": ddes, "rval": rval, "fix": fix, "pix": pix,
-}
 
 _CLASS_TESTS = {
     "all": lambda p: True,
@@ -270,11 +266,26 @@ _CLASS_TESTS = {
 CLASSES = tuple(_CLASS_TESTS)
 
 
-def check_cap(n: int, cap: int | None = None):
+def check_cap(n: int):
     """Raise CapExceededError when n is above the enumeration cap."""
-    limit = cap if cap is not None else enumeration_cap()
+    limit = enumeration_cap()
     if n > limit:
         raise CapExceededError(f"n={n} exceeds enumeration cap {limit}")
+
+
+def capped(fn):
+    """Memoize fn(n, ...) and check n against the enumeration cap before every
+    lookup, so an answer computed under one cap cannot escape a lower cap set
+    later.  cache_info is the memo's."""
+    memo = functools.lru_cache(maxsize=None)(fn)
+
+    @functools.wraps(fn)
+    def lookup(n, *args):
+        check_cap(n)
+        return memo(n, *args)
+
+    lookup.cache_info = memo.cache_info
+    return lookup
 
 
 def class_predicate(klass: str):
@@ -284,15 +295,15 @@ def class_predicate(klass: str):
     return _CLASS_TESTS[klass]
 
 
-def enumerate_class(n: int, klass: str = "all", cap: int | None = None):
+def enumerate_class(n: int, klass: str = "all"):
     """Yield the permutations of 1..n in the given class, in lexicographic order.
 
     klass is one of "all", "desarrangements", "derangements".  Lengths above
-    the enumeration cap (default 11, override via the cap argument or the
-    DESARRANGE_CAP environment variable) raise CapExceededError.
+    the enumeration cap (default 11, override via the DESARRANGE_CAP
+    environment variable) raise CapExceededError.
     """
     member = class_predicate(klass)
-    check_cap(n, cap)
+    check_cap(n)
     perms = itertools.permutations(range(1, n + 1))
     yield from perms if klass == "all" else filter(member, perms)
 
@@ -489,19 +500,6 @@ def _walk(n: int, track: int, forbid: int, klass: str, visit):
     shared.clear()
 
 
-def census(n: int):
-    """Counter over S_n keyed (pattern mask, descent word, fix), read by tally
-    and class_count.
-
-    Each key maps to (count, first member in lexicographic order).  The
-    descent word is the int whose binary digits, most significant first,
-    flag the descents at positions 1..n-1.  Built on first use and cached;
-    lengths above the enumeration cap raise CapExceededError.
-    """
-    check_cap(n)
-    return _census(n)
-
-
 def _keyed(n: int, forbid: int, klass: str, track: int = 0) -> dict:
     """{(pattern mask, descent word, fix): [count, first member]} over the
     members of the class that avoid forbid.
@@ -524,8 +522,16 @@ def _keyed(n: int, forbid: int, klass: str, track: int = 0) -> dict:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _census(n: int):
+@capped
+def census(n: int):
+    """Counter over S_n keyed (pattern mask, descent word, fix), read by tally
+    and class_count.
+
+    Each key maps to (count, first member in lexicographic order).  The
+    descent word is the int whose binary digits, most significant first,
+    flag the descents at positions 1..n-1.  Built on first use and cached;
+    lengths above the enumeration cap raise CapExceededError.
+    """
     return MappingProxyType({key: tuple(entry) for key, entry in _keyed(n, 0, "all", 63).items()})
 
 
@@ -549,8 +555,11 @@ def tally(n: int, patterns, klass: str, value) -> dict:
     """
     forbid = pattern_mask(patterns)
     member = class_predicate(klass)
-    check_cap(n)
-    keyed = _census(n) if n <= CENSUS_MAX else _keyed(n, forbid, klass)
+    if n <= CENSUS_MAX:
+        keyed = census(n)
+    else:
+        check_cap(n)
+        keyed = _keyed(n, forbid, klass)
     groups = {}
     for (mask, dw, fx), (count, p) in keyed.items():
         if not mask & forbid:
@@ -580,18 +589,17 @@ def class_count(n: int, patterns, klass: str) -> int:
     """
     forbid = pattern_mask(patterns)
     class_predicate(klass)  # rejects an unknown class
-    check_cap(n)  # ahead of the memo, so a warm memo cannot escape a lower cap
     if n > CENSUS_MAX:
         return sum(tally(n, patterns, klass, lambda p: None).values())
     return sum(count for mask, count in _mask_counts(n, klass).items() if not mask & forbid)
 
 
-@functools.lru_cache(maxsize=None)
+@capped
 def _mask_counts(n: int, klass: str):
     """{pattern mask: members of the class whose contained patterns are that mask}."""
     member = class_predicate(klass)
     out = Counter()
-    for (mask, _, _), (count, p) in _census(n).items():
+    for (mask, _, _), (count, p) in census(n).items():
         if member(p):  # membership depends only on the key's descent word and fix
             out[mask] += count
     return MappingProxyType(dict(out))

@@ -15,7 +15,6 @@ of their descent composition.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -23,7 +22,7 @@ import os
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .perms import check_cap, descent_composition, tally
+from .perms import capped, descent_composition, tally
 from .series import SeriesMatrix, TruncSeries, hat_transform
 
 BUILTIN_SPECS = ("fig1", "fig2", "fig3")
@@ -67,15 +66,8 @@ class PartSet(namedtuple("PartSet", "progressions extras")):
             return True
         return any(k >= k0 and (k - k0) % m == 0 for k0, m in self.progressions)
 
-    def min_value(self) -> int | None:
-        vals = [k0 for k0, _ in self.progressions] + list(self.extras)
-        return min(vals) if vals else None
-
     def is_finite(self) -> bool:
         return not self.progressions
-
-    def values_up_to(self, bound: int):
-        return [k for k in range(1, bound + 1) if k in self]
 
 
 class WeightCase(namedtuple("WeightCase", "guard t_exp s_exp")):
@@ -343,14 +335,9 @@ def run_theorem_egf(spec: RunGraphSpec, i: int, j: int, t=1, s=1,
     return hat_transform(a).inverse().entry(i, j)
 
 
+@capped
 def descent_composition_counts(n: int) -> dict[tuple[int, ...], int]:
     """How many permutations of 1..n have each descent composition."""
-    check_cap(n)  # ahead of the memo, so a lower cap set later still holds
-    return _descent_composition_counts(n)
-
-
-@functools.lru_cache(maxsize=None)
-def _descent_composition_counts(n: int) -> dict[tuple[int, ...], int]:
     return tally(n, (), "all", descent_composition)
 
 
@@ -360,18 +347,17 @@ def oracle_weight_sum(spec: RunGraphSpec, i: int, j: int, n: int, t=1, s=1) -> F
     Independent of the matrix pipeline; must equal n! times the x^n
     coefficient of run_theorem_egf.  A composition's weight is t^a * s^b
     for the exponents (a, b) of its one path, so S_n is grouped by (a, b)
-    once per (spec, i, j, n) and only the groups see t and s.
+    once per (n, spec, i, j) and only the groups see t and s.
     """
-    check_cap(n)  # ahead of the memo, as in descent_composition_counts
     t, s = Fraction(t), Fraction(s)
     total = Fraction(0)
-    for (a, b), count in _exponent_counts(spec, i, j, n).items():
+    for (a, b), count in _exponent_counts(n, spec, i, j).items():
         total += count * t ** a * s ** b
     return total
 
 
-@functools.lru_cache(maxsize=None)
-def _exponent_counts(spec: RunGraphSpec, i: int, j: int, n: int) -> dict[tuple[int, int], int]:
+@capped
+def _exponent_counts(n: int, spec: RunGraphSpec, i: int, j: int) -> dict[tuple[int, int], int]:
     """How many permutations of 1..n have an (i,j) path of each exponent pair."""
     out = Counter()
     for comp, count in descent_composition_counts(n).items():
@@ -382,31 +368,6 @@ def _exponent_counts(spec: RunGraphSpec, i: int, j: int, n: int) -> dict[tuple[i
 
 
 # --- JSON schema ---
-
-def spec_to_json(spec: RunGraphSpec) -> dict:
-    return {
-        "name": spec.name,
-        "dim": spec.dim,
-        "edges": [
-            {
-                "from": e.src,
-                "to": e.dst,
-                "cases": [
-                    {
-                        "parts": {
-                            "progressions": [list(pr) for pr in c.guard.progressions],
-                            "extras": sorted(c.guard.extras),
-                        },
-                        "t_exp": list(c.t_exp),
-                        "s_exp": list(c.s_exp),
-                    }
-                    for c in e.cases
-                ],
-            }
-            for e in spec.edges
-        ],
-    }
-
 
 _JSON_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
 

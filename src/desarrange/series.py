@@ -268,20 +268,9 @@ class TruncSeries:
     def __repr__(self):
         return f"TruncSeries({[str(c) for c in self.coeffs]})"
 
-    def to_json(self) -> list[str]:
-        return [format_rational(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, arr) -> "TruncSeries":
-        return cls([parse_rational(s) for s in arr])
-
 
 def format_rational(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def poly_series(coeffs, order: int) -> TruncSeries:
@@ -473,10 +462,6 @@ class Poly:
 
     def to_json(self) -> list[str]:
         return [format_rational(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, arr) -> "Poly":
-        return cls([parse_rational(s) for s in arr])
 
 
 def interpolate(points, degree_bound: int) -> Poly:

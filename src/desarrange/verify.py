@@ -83,15 +83,19 @@ CHECKS = {}  # check name -> check(n_max), in registration order
 def _check(name: str, subject: str, n_min: int, limit: int):
     """Register fill(rep, top) as a check over n_min..min(n_max, limit);
     a miscopied formula makes the check fail at its first inconsistent
-    row, not crash."""
+    row, and one with a pole at every sampled point at the top of the
+    range, not crash."""
     def register(fill):
         def check(n_max: int) -> VerificationReport:
             rep = VerificationReport(subject, (n_min, min(n_max, limit)), n_requested=n_max)
+            top = rep.n_range[1]
             try:
-                fill(rep, rep.n_range[1])
+                fill(rep, top)
             except formulas.TranscriptionError as exc:
-                row = rep.n_range[1] if exc.row is None else exc.row
-                rep.record(row, False, f"formula transcription: {exc}")
+                rep.record(top if exc.row is None else exc.row, False,
+                           f"formula transcription: {exc}")
+            except formulas.PoleError as exc:
+                rep.record(top, False, f"formula pole: {exc}")
             return rep
         check.__name__, check.__doc__ = fill.__name__, fill.__doc__
         CHECKS[name] = check
@@ -254,7 +258,7 @@ def check_bijections(rep: VerificationReport, top: int):
             got = patterns.bijection(name, arg, direction)
             rep.record(len(arg), got == want, f"{name}({arg}) = {got}, want {want}")
     for n in range(top + 1):
-        for b in (*patterns.BIJECTIONS.values(), *patterns.SIMION_SCHMIDT):
+        for b in patterns.BIJECTIONS.values():
             ok, msg = _bijection_ok(b, n)
             rep.record(n, ok, f"{b.name}: {msg}")
         # cardinality recurrences behind the prepend maps
@@ -301,7 +305,8 @@ def check_equidistribution(rep: VerificationReport, top: int):
 
 
 def verify_all(n_max: int = 9, only: str | None = None) -> list[VerificationReport]:
-    """Run the registered checks (optionally a single named one)."""
+    """Run the registered checks (optionally a single named one); an unknown
+    name raises ValueError before any check runs."""
     if only is not None:
         if only not in CHECKS:
             raise ValueError(f"unknown check {only!r}; have {sorted(CHECKS)}")

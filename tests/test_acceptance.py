@@ -154,10 +154,11 @@ def test_full_verification_harness():
 
 @pytest.mark.slow
 @pytest.mark.skipif(not RUN_N11, reason="set DESARRANGE_RUN_N11=1 to run the n=11 sweep")
-def test_criterion_10_brute_force_n11():
+def test_criterion_10_brute_force_n11(monkeypatch):
+    monkeypatch.setenv("DESARRANGE_CAP", "11")
     t0 = time.perf_counter()
     count = sum(
-        1 for p in enumerate_class(11, "desarrangements", cap=11)
+        1 for p in enumerate_class(11, "desarrangements")
         if patterns.avoids(p, {patterns.P213})
     )
     assert count == 13035
@@ -166,9 +167,10 @@ def test_criterion_10_brute_force_n11():
 
 @pytest.mark.slow
 @pytest.mark.skipif(not RUN_N11, reason="set DESARRANGE_RUN_N11=1 to run the n=11 sweep")
-def test_pixed_factorization_unique_through_n11():
+def test_pixed_factorization_unique_through_n11(monkeypatch):
+    monkeypatch.setenv("DESARRANGE_CAP", "11")
     t0 = time.perf_counter()
     for n in (10, 11):
-        for p in enumerate_class(n, "all", cap=11):
+        for p in enumerate_class(n, "all"):
             pixed_factorization(p)  # raises InvariantError on any double split
     _report(10, "pixed factorization unique through n = 11", t0, 900)

@@ -1,8 +1,18 @@
 import doctest
+import importlib
+import pkgutil
 
-from desarrange import perms
+import desarrange
+
+# every module of the package except the one that runs the command line
+MODULES = [importlib.import_module(f"desarrange.{info.name}")
+           for info in pkgutil.iter_modules(desarrange.__path__) if info.name != "__main__"]
 
 
-def test_perms_doctests():
-    results = doctest.testmod(perms)
-    assert results.failed == 0 and results.attempted > 0
+def test_doctests_of_every_module():
+    attempted = 0
+    for module in MODULES:
+        results = doctest.testmod(module)
+        assert results.failed == 0, module.__name__
+        attempted += results.attempted
+    assert attempted > 0

@@ -2,12 +2,11 @@ import itertools
 
 import pytest
 
-from desarrange import patterns
+from desarrange import patterns, perms, rungraph
 from desarrange.patterns import (
     BIJECTIONS, DomainError, avoids, bijection, closed_form_count,
     complement_patterns, count_class, equidistribution_report,
-    parse_patterns, pattern_mask, patterns_label, sequence,
-    simion_schmidt, simion_schmidt_inverse, all_pattern_sets,
+    parse_patterns, pattern_mask, patterns_label, sequence, all_pattern_sets,
 )
 from desarrange.perms import (
     CapExceededError, avoiders, class_predicate, enumerate_class, is_desarrangement, tally,
@@ -79,12 +78,25 @@ def test_count_class_matches_the_tally_total_for_every_set():
                 assert count_class(n, pats, klass) == want, (n, klass, pats)
 
 
-def test_count_class_cap_holds_after_a_warm_memo(monkeypatch):
+# every public entry that reads a capped memo, as a function of n
+CAPPED_ENTRIES = {
+    "census": perms.census,
+    "class_count": lambda n: perms.class_count(n, {(3, 2, 1)}, "all"),
+    "tally": lambda n: perms.tally(n, (), "desarrangements", perms.des),
+    "descent_composition_counts": rungraph.descent_composition_counts,
+    "oracle_weight_sum": lambda n: rungraph.oracle_weight_sum(
+        rungraph.builtin_spec("fig1"), 1, 3, n),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CAPPED_ENTRIES))
+def test_cap_holds_after_a_warm_memo(monkeypatch, entry):
     monkeypatch.delenv("DESARRANGE_CAP", raising=False)
-    assert count_class(6, {(3, 2, 1)}, "all") == 132  # fills the per-mask memo for n = 6
-    monkeypatch.setenv("DESARRANGE_CAP", "5")
+    call = CAPPED_ENTRIES[entry]
+    call(5)  # fills the memos for n = 5
+    monkeypatch.setenv("DESARRANGE_CAP", "4")
     with pytest.raises(CapExceededError):
-        count_class(6, {(3, 2, 1)}, "all")
+        call(5)
 
 
 def test_sequences_against_reference():
@@ -276,35 +288,26 @@ def test_strip_and_trim_roundtrips():
 
 
 def test_simion_schmidt():
-    assert simion_schmidt((2, 1, 3)) == (2, 1, 3)
+    name = "simion_schmidt(all)"
+    assert bijection(name, (2, 1, 3)) == (2, 1, 3)
     dec = (5, 4, 3, 2, 1)
-    assert simion_schmidt(dec) == dec
+    assert bijection(name, dec) == dec
     with pytest.raises(DomainError):
-        simion_schmidt((1, 2, 3))
+        bijection(name, (1, 2, 3))
     with pytest.raises(DomainError):
-        simion_schmidt_inverse((1, 3, 2))
+        bijection(name, (1, 3, 2), "inverse")
     for n in range(7):
         images = set()
         for p in enumerate_class(n, "all"):
             if not avoids(p, {patterns.P123}):
                 continue
-            q = simion_schmidt(p)
+            q = bijection(name, p)
             assert avoids(q, {patterns.P132})
-            assert simion_schmidt_inverse(q) == p
+            assert bijection(name, q, "inverse") == p
             # the map preserves being a desarrangement (checked exhaustively)
             assert is_desarrangement(q) == is_desarrangement(p)
             images.add(q)
         assert len(images) == count_class(n, {patterns.P132}, "all")
-
-
-def test_simion_schmidt_records_run_the_public_maps():
-    # the records skip the guards, not the map
-    for b in patterns.SIMION_SCHMIDT:
-        for n in range(8):
-            for p in avoiders(n, {patterns.P123}):
-                assert b.forward(p) == simion_schmidt(p), (b.name, p)
-            for q in avoiders(n, {patterns.P132}):
-                assert b.inverse(q) == simion_schmidt_inverse(q), (b.name, q)
 
 
 def test_equidistribution_report():

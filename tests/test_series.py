@@ -201,9 +201,6 @@ def test_interpolate_roundtrip():
 
 
 def test_json_round_trips():
-    s = series(1, F(-1, 2), 3)
-    assert TruncSeries.from_json(s.to_json()) == s
-    assert s.to_json() == ["1", "-1/2", "3"]
     assert Poly([1, F(1, 3)]).to_json() == ["1", "1/3"]
 
 
@@ -389,8 +386,7 @@ def test_equal_series_by_different_routes_are_equal_and_hash_equal(pair):
     a, b = pair
     routes = [(-(-a), a), (a * 1, a), (a - a, TruncSeries.constant(0, a.order)),
               (hat_transform(a), TruncSeries([c / math.factorial(k)
-                                              for k, c in enumerate(a.coeffs)], a.order)),
-              (TruncSeries.from_json(a.to_json()), a)]
+                                              for k, c in enumerate(a.coeffs)], a.order))]
     if a.order == b.order:
         routes.append(((a + b) - b, a))
         routes.append((a * b, reference_mul(a, b)))

@@ -42,7 +42,8 @@ def test_corrupted_formula_detected(monkeypatch):
     # where the true row is the single desarrangement 21 contributing t
     real = formulas._des
     monkeypatch.setitem(formulas.FORMULAS, "des",
-                        (1, lambda t, order: real(t, order) + poly_series([0, 0, 1], order)))
+                        (1, lambda t, order: real(t, order) + poly_series([0, 0, 1], order),
+                         "desarrangements"))
     report = verify.check_statistic_tables(3)
     assert not report.ok
     bad = [n for n, v in report.verdicts.items() if v != "match"]
@@ -112,20 +113,13 @@ def test_a_map_raising_on_its_declared_domain_fails(monkeypatch):
                for v in report.verdicts.values())
 
 
-PROOF_RECORDS = [*patterns.BIJECTIONS.values(), *patterns.SIMION_SCHMIDT]
-
-
 @pytest.mark.parametrize("side", ["forward", "inverse"])
-@pytest.mark.parametrize("name", [b.name for b in PROOF_RECORDS])
+@pytest.mark.parametrize("name", list(patterns.BIJECTIONS))
 def test_verify_catches_a_broken_bijection(monkeypatch, name, side):
-    record = next(b for b in PROOF_RECORDS if b.name == name)
+    record = patterns.BIJECTIONS[name]
     real = getattr(record, side)
     broken = record._replace(**{side: lambda *args: real(*args)[::-1]})
-    if name in patterns.BIJECTIONS:
-        monkeypatch.setitem(patterns.BIJECTIONS, name, broken)
-    else:
-        monkeypatch.setattr(patterns, "SIMION_SCHMIDT", tuple(
-            broken if b.name == name else b for b in patterns.SIMION_SCHMIDT))
+    monkeypatch.setitem(patterns.BIJECTIONS, name, broken)
     report = verify.check_bijections(6)
     assert not report.ok
     assert any(f"{name}: " in v for v in report.verdicts.values())
@@ -158,13 +152,27 @@ def test_bijections_round_trip_beyond_verify_range(data):
 def test_transcription_failure_keeps_the_checks_subject_and_range(monkeypatch, capsys):
     from desarrange import cli
     monkeypatch.setitem(formulas.FORMULAS, "des",
-                        (1, lambda t, order: formulas._des(t, order) / t))
+                        (1, lambda t, order: formulas._des(t, order) / t, "desarrangements"))
     assert cli.main(["verify", "--only", "tables", "--n-max", "12"]) == 1
     assert capsys.readouterr().out.startswith("FAIL statistic-tables (n=0..9)\n")
     assert cli.main(["verify", "--only", "tables", "--n-max", "12", "--format", "json"]) == 1
     report = json.loads(capsys.readouterr().out)["reports"][0]
     assert report["n_range"] == [0, 9] and report["n_requested"] == 12
     assert report["clamped"] is True
+
+
+def test_a_formula_with_a_pole_at_every_point_fails_its_check(monkeypatch, capsys):
+    from desarrange import cli
+
+    def no_good_point(t, order):
+        raise formulas.PoleError("pole")
+
+    monkeypatch.setitem(formulas.FORMULAS, "des", (1, no_good_point, "desarrangements"))
+    assert cli.main(["verify", "--only", "tables", "--n-max", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("FAIL statistic-tables (n=0..5)\n")
+    assert "n=5: mismatch(formula pole: could not find 7 good points for des)" in out
+    assert err == ""
 
 
 @pytest.mark.parametrize("n_max", [0, 3, 5])
