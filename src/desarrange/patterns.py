@@ -188,8 +188,7 @@ _ERDOS_SZEKERES_SMALL = {
 def closed_form_count(n: int, patterns) -> int:
     """d_n of the avoidance class, by formula dispatch (no enumeration)."""
     patterns = frozenset(patterns)
-    if not patterns <= set(PATTERNS):
-        raise ValueError("patterns must be length-3 patterns")
+    pattern_mask(patterns)  # rejects anything but length-3 patterns
     if n < 0:
         raise ValueError("n must be non-negative")
     if n <= 2:
@@ -304,42 +303,27 @@ def _fib_right_trim_inverse(q, grow: int):
     return (*q, m + 1)
 
 
-def _simion_schmidt(p) -> Perm:
-    """Left-to-right minima stay put; every other position receives the
-    smallest unused value exceeding the running minimum."""
-    used = set()
-    out = []
-    cur_min = len(p) + 1
-    for v in p:
-        if v < cur_min:
-            cur_min = v
-            out.append(v)
-        else:
-            c = cur_min + 1
-            while c in used:
-                c += 1
+def _simion_schmidt(largest: bool):
+    """The Simion-Schmidt fill: left-to-right minima stay put, and every other
+    position receives the smallest unused value exceeding the running minimum
+    (123-avoiders onto 132-avoiders) or, with largest, the largest unused
+    value (the inverse)."""
+    def fill(p) -> Perm:
+        n = len(p)
+        used = set()
+        out = []
+        cur_min = n + 1
+        for v in p:
+            if v < cur_min:
+                cur_min = c = v
+            else:
+                c, step = (n, -1) if largest else (cur_min + 1, 1)
+                while c in used:
+                    c += step
             out.append(c)
-        used.add(out[-1])
-    return tuple(out)
-
-
-def _simion_schmidt_inverse(q) -> Perm:
-    """As _simion_schmidt, but non-minima receive the largest unused value."""
-    n = len(q)
-    used = set()
-    out = []
-    cur_min = n + 1
-    for v in q:
-        if v < cur_min:
-            cur_min = v
-            out.append(v)
-        else:
-            c = n
-            while c in used:
-                c -= 1
-            out.append(c)
-        used.add(out[-1])
-    return tuple(out)
+            used.add(c)
+        return tuple(out)
+    return fill
 
 
 def _av(labels: str, klass: str = "all") -> tuple[frozenset[Perm], str]:
@@ -414,7 +398,7 @@ BIJECTIONS = {
                   n_min=3),
         # Simion-Schmidt over S_n, and restricted to the desarrangements, where
         # every length up from 2 has members (D_1 is empty)
-        *(Bijection(f"simion_schmidt({klass})", _simion_schmidt, _simion_schmidt_inverse,
+        *(Bijection(f"simion_schmidt({klass})", _simion_schmidt(False), _simion_schmidt(True),
                     _av("123", klass), _av("132", klass), (0,),
                     "123-avoiders onto 132-avoiders, keeping the left-to-right minima",
                     n_min=n_min)

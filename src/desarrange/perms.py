@@ -213,23 +213,13 @@ def pixed_factorization(p) -> PixedFactorization:
         m += 1
     if n:
         m += 1  # maximal increasing prefix length
-    valid = [k for k in range(m + 1) if _suffix_is_desarrangement(p, k)]
+    # first-ascent parity depends only on relative order, so a suffix needs
+    # no standardization
+    valid = [k for k in range(m + 1) if is_desarrangement(p[k:])]
     if len(valid) != 1:
         raise InvariantError(f"pixed factorization not unique for {p}: splits {valid}")
     k = valid[0]
     return PixedFactorization(iota_len=k, delta=p[k:])
-
-
-def _suffix_is_desarrangement(p, start: int) -> bool:
-    # First-ascent parity only depends on relative order, so the suffix
-    # needs no standardization.
-    n = len(p)
-    if start == n:
-        return True
-    i = start
-    while i < n - 1 and p[i] > p[i + 1]:
-        i += 1
-    return (i - start + 1) % 2 == 0
 
 
 def pix(p) -> int:
@@ -313,7 +303,14 @@ def enumerate_class(n: int, klass: str = "all"):
 # The six length-3 patterns in lexicographic (canonical) order; bit k of a
 # pattern mask stands for PATTERNS[k].
 PATTERNS: tuple[Perm, ...] = tuple(itertools.permutations((1, 2, 3)))
-_PATTERN_SET = frozenset(PATTERNS)
+
+
+def _pattern(sigma) -> Perm:
+    """sigma as a tuple; ValueError unless it is one of the PATTERNS."""
+    sigma = tuple(sigma)
+    if sigma not in PATTERNS:
+        raise ValueError(f"not a length-3 pattern: {sigma}")
+    return sigma
 
 
 def pattern_mask(patterns) -> int:
@@ -324,10 +321,7 @@ def pattern_mask(patterns) -> int:
     """
     mask = 0
     for sigma in patterns:
-        sigma = tuple(sigma)
-        if sigma not in _PATTERN_SET:
-            raise ValueError(f"not a length-3 pattern: {sigma}")
-        mask |= 1 << PATTERNS.index(sigma)
+        mask |= 1 << PATTERNS.index(_pattern(sigma))
     return mask
 
 
@@ -342,9 +336,7 @@ def triple_pattern(a: int, b: int, c: int) -> tuple[int, int, int]:
 
 def contains_pattern(p, sigma) -> bool:
     """True iff some subsequence of p standardizes to the length-3 pattern sigma."""
-    sigma = tuple(sigma)
-    if sigma not in _PATTERN_SET:
-        raise ValueError(f"not a length-3 pattern: {sigma}")
+    sigma = _pattern(sigma)
     n = len(p)
     for i in range(n - 2):
         for j in range(i + 1, n - 1):

@@ -196,6 +196,29 @@ def test_a_fresh_process_loads_only_the_layers_it_runs(argv, runs):
     assert not has_dataclasses
 
 
+_TRACED_SEQ = """
+import json, sys
+sys.path[:0] = [{src!r}, {perfbench!r}]
+from tracer import LAYERS, Tracer
+tracer = Tracer()
+tracer.install()
+from desarrange import cli
+code = cli.main(["seq", "catalan", "5"])
+print(json.dumps([code, list(LAYERS), sorted(tracer.summary()["self_s"])]))
+"""
+
+
+def test_the_benchmark_tracer_still_installs():
+    # perfbench/tracer.py reads methods such as TruncSeries.sqrt straight off
+    # the classes, so removing one breaks only traced benchmark runs
+    code = _TRACED_SEQ.format(src=str(SRC), perfbench=str(SRC.parent / "perfbench"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    exit_code, layers, traced = json.loads(out.splitlines()[-1])
+    assert exit_code == 0
+    assert traced == sorted(layers)
+
+
 def _fig2_json():
     path = SPECS / "fig2.json"
     return json.loads(path.read_text())

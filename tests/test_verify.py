@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from desarrange import formulas, patterns, verify
+from desarrange import formulas, oracle, patterns, verify
 from desarrange.perms import avoiders, class_predicate
 from desarrange.series import poly_series
 
@@ -48,6 +48,28 @@ def test_corrupted_formula_detected(monkeypatch):
     assert not report.ok
     bad = [n for n, v in report.verdicts.items() if v != "match"]
     assert min(bad) == 2
+
+
+@pytest.mark.parametrize("check, stats, klass", [
+    ("tables", ("des", "pk", "val", "dasc", "ddes", "rval"), "desarrangements"),
+    ("specializations", ("des",), "all"),
+    ("specializations", ("fix",), "all"),
+    ("specializations", ("pk", "des"), "desarrangements"),
+], ids=["tables-joint", "des-over-S_n", "fix-over-S_n", "pk-des-over-D_n"])
+def test_a_brute_side_error_fails_its_row_comparison(monkeypatch, check, stats, klass):
+    # the formula rows hold Fractions and the brute counts ints; one count
+    # off by one at n = 4 must still fail the comparison there and only there
+    real = oracle.distribution
+
+    def off_by_one(n, names, klass_, restrict=None):
+        out = real(n, names, klass_, restrict)
+        if n == 4 and tuple(names) == stats and klass_ == klass:
+            out[next(iter(out))] += 1
+        return out
+
+    monkeypatch.setattr(oracle, "distribution", off_by_one)
+    report = verify.CHECKS[check](5)
+    assert [n for n, v in sorted(report.verdicts.items()) if v != "match"] == [4]
 
 
 def test_render_functions():
