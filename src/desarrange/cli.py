@@ -12,6 +12,8 @@ Exit codes: 0 success, 1 verification mismatch or hypothesis violation,
 Building the parser loads only perms and series; each subcommand imports
 the layers it runs when it runs (runthm adds rungraph, tables 2..6 adds
 formulas), so a fresh process pays for no layer it never calls.
+runthm --correction reads its choices from series.CORRECTIONS, the table
+that verify's worked examples read too.
 """
 from __future__ import annotations
 
@@ -22,16 +24,9 @@ import sys
 from fractions import Fraction
 
 from .perms import CAP_ENV_VAR, CapExceededError, CapSettingError, enumerate_class, perm_to_str
-from .series import TruncSeries, cosh_even, format_rational
+from .series import CORRECTIONS, format_rational
 
 STAT_TABLE_IDS = {2: "des", 3: "pk", 4: "val", 5: "dasc", 6: "ddes"}
-
-# runthm --correction: the named series added to the entry, by order
-CORRECTIONS = {
-    "cosh": lambda order: cosh_even(4, order),
-    "one": TruncSeries.one,
-    "none": lambda order: TruncSeries.constant(0, order),
-}
 
 
 def _parse_rational(text: str) -> Fraction:

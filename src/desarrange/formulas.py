@@ -185,6 +185,7 @@ def _jacobsthal_shifted_ogf(order: int) -> TruncSeries:
 FORMULAS = {
     "eulerian": (1, _eulerian, "all"),
     "derangement_egf": (0, functools.partial(fix_egf, 0), None),
+    "fix": (1, fix_egf, "all"),
     "des": (1, _des, "desarrangements"),
     "pk": (1, _pk, "desarrangements"),
     "val": (1, _val, "desarrangements"),
@@ -393,62 +394,3 @@ def rval_rows(pk_rows: dict) -> dict:
     for n in range(1, max(pk_rows) + 1):
         rows[n] = Poly([Fraction(0)] + list(pk_rows[n].coeffs))
     return rows
-
-
-class CheckResult(namedtuple("CheckResult", "name ok details", defaults=("",))):
-    __slots__ = ()
-
-
-SPECIALIZATION_TAGS = ("des", "eulerian", "joint_pk_des", "joint_pix_des")
-
-
-def specialization_results(tables: dict) -> list[CheckResult]:
-    """Formula-side identities between the closed forms, on rows 0..n_max
-    already built for SPECIALIZATION_TAGS."""
-    results = []
-    des_rows, eul_rows, pkdes, pixdes = (tables[tag] for tag in SPECIALIZATION_TAGS)
-    n_max = max(des_rows)
-    order = n_max + 1
-
-    def rows_equal(sub_rows, target_rows):
-        bad = [n for n in range(n_max + 1) if sub_rows[n] != target_rows[n]]
-        return (not bad, f"rows differ at n={bad}" if bad else "")
-
-    ok, msg = rows_equal({n: pkdes[n].substitute_s(1) for n in pkdes}, des_rows)
-    results.append(CheckResult("joint_pk_des at s=1 equals des rows", ok, msg))
-
-    ok, msg = rows_equal({n: pixdes[n].substitute_s(1) for n in pixdes}, eul_rows)
-    results.append(CheckResult("joint_pix_des at s=1 equals eulerian rows", ok, msg))
-
-    ok, msg = rows_equal({n: pixdes[n].substitute_s(0) for n in pixdes}, des_rows)
-    results.append(CheckResult("joint_pix_des at s=0 equals des rows", ok, msg))
-
-    # fix rows of e^{(s-1)x}/(1-x), recovered by interpolation in s
-    fix_pts = [(Fraction(v), fix_egf(v, order)) for v in range(2, n_max + 4)]
-    fix_rows = dict(enumerate(_sampled_rows(fix_pts, n_max)))
-    ok, msg = rows_equal({n: pixdes[n].substitute_t(1) for n in pixdes}, fix_rows)
-    results.append(CheckResult("joint_pix_des at t=1 equals fix rows", ok, msg))
-
-    bad = []
-    for t in (2, 3, 5):
-        lhs = exp_series(1, order) * evaluate_formula("val", t=t, order=order)
-        if lhs != peak_egf(t, order):
-            bad.append(t)
-    results.append(CheckResult("e^x * val series equals peak series",
-                               not bad, f"differs at t={bad}" if bad else ""))
-
-    bad = []
-    for t in (2, 3, 5):
-        lhs = exp_series(1, order) * _rval_series(t, order)
-        if lhs != right_valley_egf(t, order):
-            bad.append(t)
-    results.append(CheckResult("e^x * rval-over-desarrangements equals rval series",
-                               not bad, f"differs at t={bad}" if bad else ""))
-    return results
-
-
-def _rval_series(t, order: int) -> TruncSeries:
-    # 1 + t*(pk series - 1) encodes rval over desarrangements
-    t = Fraction(t)
-    pk_ser = evaluate_formula("pk", t=t, order=order)
-    return (pk_ser - 1) * t + 1

@@ -19,6 +19,9 @@ computes the integer weights of every divided difference once, and then
 each row costs O(m^2) integer operations for m nodes.  Points beyond a
 row's degree bound are its check: every divided difference above the
 bound must vanish.  interpolate is its one-row case.
+
+CORRECTIONS names the series a run-theorem worked example adds to its
+entry; runthm --correction and verify both read it here.
 """
 from __future__ import annotations
 
@@ -313,6 +316,16 @@ def cosh_even(p, order: int) -> TruncSeries:
 def sinh_even_div(p, order: int) -> TruncSeries:
     """sum_k p^k (x/2)^{2k+1} / (2k+1)!, i.e. sinh(a*x/2)/a written in p = a^2."""
     return _even_powers(p, order, 1, 2)
+
+
+# The named series added to a run-theorem entry, by order.  cosh x completes
+# fig1's entry (1,3) to the derangement numbers, and one completes fig2's
+# entry (1,2) to the descent series over desarrangements.
+CORRECTIONS = {
+    "cosh": lambda order: cosh_even(4, order),
+    "one": TruncSeries.one,
+    "none": lambda order: TruncSeries.constant(0, order),
+}
 
 
 class SeriesMatrix:

@@ -15,7 +15,7 @@ from . import formulas, oracle, patterns, rungraph
 from .perms import (
     avoiders, class_predicate, enumerate_class, first_ascent, is_desarrangement, perm_to_str,
 )
-from .series import cosh_even
+from .series import CORRECTIONS, exp_series
 
 # Known desarrangement listings of length <= 5, frozen for the membership
 # check (the enumeration side recomputes them from scratch).
@@ -82,8 +82,8 @@ CHECKS = {}  # check name -> check(n_max), in registration order
 def _check(name: str, subject: str, n_min: int, limit: int):
     """Register fill(rep, top) as a check over n_min..min(n_max, limit);
     a miscopied formula makes the check fail at its first inconsistent
-    row, and one with a pole at every sampled point at the top of the
-    range, not crash."""
+    row, and one with a pole at every sampled point, or a spec that breaks
+    the run theorem's hypothesis, at the top of the range, not crash."""
     def register(fill):
         def check(n_max: int) -> VerificationReport:
             rep = VerificationReport(subject, (n_min, min(n_max, limit)), n_requested=n_max)
@@ -95,6 +95,8 @@ def _check(name: str, subject: str, n_min: int, limit: int):
                            f"formula transcription: {exc}")
             except formulas.PoleError as exc:
                 rep.record(top, False, f"formula pole: {exc}")
+            except rungraph.HypothesisViolationError as exc:
+                rep.record(top, False, f"hypothesis violation: {exc}")
             return rep
         check.__name__, check.__doc__ = fill.__name__, fill.__doc__
         CHECKS[name] = check
@@ -119,10 +121,11 @@ def check_table1(rep: VerificationReport, top: int):
 @_check("tables", "statistic-tables", 0, 9)
 def check_statistic_tables(rep: VerificationReport, top: int):
     """Interpolated distribution rows against brute-force counts over D_n."""
-    stats = ["des", "pk", "val", "dasc", "ddes", "rval"]
-    tables = {s: formulas.distribution_polynomials(s, top).rows
-              for s in ("des", "pk", "val", "dasc", "ddes")}
+    tables = {tag: formulas.distribution_polynomials(tag, top).rows
+              for tag, (arity, _, klass) in formulas.FORMULAS.items()
+              if arity == 1 and klass == "desarrangements"}
     tables["rval"] = formulas.rval_rows(tables["pk"])
+    stats = list(tables)
     for n in range(top + 1):
         joint = oracle.distribution(n, stats, "desarrangements")
         for i, name in enumerate(stats):
@@ -131,50 +134,58 @@ def check_statistic_tables(rep: VerificationReport, top: int):
             rep.record(n, got == want, f"{name}: formula {got} vs oracle {want}")
 
 
+# The run theorem's worked examples: (spec, entries summed, correction, closed
+# form, frozen values or None, (t, s) points).  At each point the entries plus
+# the correction equal the closed form, and the frozen values where given.
+_WORKED_EXAMPLES = (
+    ("fig1", ((1, 3),), "cosh", "derangement_egf", DERANGEMENT_NUMBERS, ((1, 1),)),
+    ("fig2", ((1, 2),), "one", "des", None, ((2, 1), (3, 1), (5, 1))),
+    ("fig3", ((1, 1), (1, 2)), "none", "joint_pix_des", None, ((3, 2), (2, 3))),
+)
+
+# (spec, entry, (t, s) points) compared with the enumeration oracle at every n
+_ORACLE_CASES = (
+    ("fig1", (1, 3), ((1, 1), (2, 1), (3, 1))),
+    ("fig2", (1, 2), ((2, 1), (3, 1), (5, 1))),
+    ("fig3", (1, 2), ((2, 2), (3, 2), (2, 5))),
+    ("fig3", (1, 1), ((2, 2), (3, 2), (2, 5))),
+)
+
+
 @_check("run-theorem", "run-theorem", 0, 9)
 def check_run_theorem(rep: VerificationReport, top: int):
     """Built-in graph specs against enumeration and the closed forms."""
     order = top
-    fig1 = rungraph.builtin_spec("fig1")
-    fig2 = rungraph.builtin_spec("fig2")
-    fig3 = rungraph.builtin_spec("fig3")
+    specs = {name: rungraph.builtin_spec(name) for name in rungraph.BUILTIN_SPECS}
+    built = {}  # (spec, i, j, t, s) -> its entry series, built once
 
-    cases = [
-        (fig1, 1, 3, [(1, 1), (2, 1), (3, 1)]),
-        (fig2, 1, 2, [(2, 1), (3, 1), (5, 1)]),
-        (fig3, 1, 2, [(2, 2), (3, 2), (2, 5)]),
-        (fig3, 1, 1, [(2, 2), (3, 2), (2, 5)]),
-    ]
+    def entry(name, i, j, t, s):
+        key = (name, i, j, t, s)
+        if key not in built:
+            built[key] = rungraph.run_theorem_egf(specs[name], i, j, t=t, s=s, order=order)
+        return built[key]
+
     for n in range(top + 1):
         rep.record(n, True)  # each comparison below records only a mismatch
-    for spec, i, j, points in cases:
+    for name, (i, j), points in _ORACLE_CASES:
         for t, s in points:
-            egf = rungraph.run_theorem_egf(spec, i, j, t=t, s=s, order=order)
+            egf = entry(name, i, j, t, s)
             for n in range(top + 1):
                 got = egf.egf_coeff(n)
-                direct = rungraph.oracle_weight_sum(spec, i, j, n, t=t, s=s)
+                direct = rungraph.oracle_weight_sum(specs[name], i, j, n, t=t, s=s)
                 if got != direct:
-                    rep.record(n, False, f"{spec.name}({i},{j}) t={t} s={s}: {got} vs {direct}")
-
-    # worked examples: corrections live here, not in the pipeline
-    egf1 = rungraph.run_theorem_egf(fig1, 1, 3, order=order) + cosh_even(4, order)
-    dgf = formulas.evaluate_formula("derangement_egf", order=order)
-    for n in range(top + 1):
-        if not egf1.egf_coeff(n) == dgf.egf_coeff(n) == DERANGEMENT_NUMBERS[n]:
-            rep.record(n, False, f"fig1+cosh {egf1.egf_coeff(n)} vs {DERANGEMENT_NUMBERS[n]}")
-    for t in (2, 3, 5):
-        egf2 = rungraph.run_theorem_egf(fig2, 1, 2, t=t, order=order) + 1
-        des_t = formulas.evaluate_formula("des", t=t, order=order)
-        for n in range(top + 1):
-            if egf2.egf_coeff(n) != des_t.egf_coeff(n):
-                rep.record(n, False, f"fig2+1 at t={t}")
-    for s, t in [(2, 3), (3, 2)]:
-        total = (rungraph.run_theorem_egf(fig3, 1, 1, t=t, s=s, order=order)
-                 + rungraph.run_theorem_egf(fig3, 1, 2, t=t, s=s, order=order))
-        joint = formulas.evaluate_formula("joint_pix_des", t=t, s=s, order=order)
-        for n in range(top + 1):
-            if total.egf_coeff(n) != joint.egf_coeff(n):
-                rep.record(n, False, f"fig3 sum at s={s},t={t}")
+                    rep.record(n, False, f"{name}({i},{j}) t={t} s={s}: {got} vs {direct}")
+    for name, entries, correction, tag, frozen, points in _WORKED_EXAMPLES:
+        for t, s in points:
+            egf = sum((entry(name, i, j, t, s) for i, j in entries),
+                      CORRECTIONS[correction](order))
+            closed = formulas.evaluate_formula(tag, t=t, s=s, order=order)
+            for n in range(top + 1):
+                got, want = egf.egf_coeff(n), closed.egf_coeff(n)
+                if got != want or frozen is not None and got != frozen[n]:
+                    known = "" if frozen is None else f", known {frozen[n]}"
+                    rep.record(n, False, f"{name} {entries} + {correction} at t={t} s={s}: "
+                                         f"{got} vs {tag} {want}{known}")
 
 
 @_check("patterns", "pattern-counts", 0, 9)
@@ -261,7 +272,11 @@ def check_bijections(rep: VerificationReport, top: int):
     ]
     for name, direction, arg, want in displayed:
         if len(arg) <= top:  # an example is a fact about its length
-            got = patterns.bijection(name, arg, direction)
+            try:
+                got = patterns.bijection(name, arg, direction)
+            except patterns.DomainError as exc:  # the row's declared domain excludes it
+                rep.record(len(arg), False, f"{name}({arg}) raised: {exc}")
+                continue
             rep.record(len(arg), got == want, f"{name}({arg}) = {got}, want {want}")
     for n in range(top + 1):
         for b in patterns.BIJECTIONS.values():
@@ -276,25 +291,46 @@ def check_bijections(rep: VerificationReport, top: int):
                        f"C_{n} != d_{n}({sigma_name}) + d_{n + 1}({sigma_name})")
 
 
+# (joint tag, variable, value, the table that specialization equals, its
+# brute-force shadow as (statistics, class) or None)
+_SPECIALIZATIONS = (
+    ("joint_pk_des", "s", 1, "des", None),
+    ("joint_pix_des", "s", 1, "eulerian", (["des"], "all")),
+    ("joint_pix_des", "s", 0, "des", None),
+    ("joint_pix_des", "t", 1, "fix", (["fix"], "all")),
+)
+
+
 @_check("specializations", "specializations", 0, 8)
 def check_specializations(rep: VerificationReport, top: int):
-    """Formula-level identities plus their brute-force shadows."""
+    """The joint tables specialized against the one-variable tables and
+    brute force at every n, the joint pk,des table against brute force, and
+    two series identities at the top."""
     tables = {tag: formulas.distribution_polynomials(tag, top).rows
-              for tag in formulas.SPECIALIZATION_TAGS}
-    for res in formulas.specialization_results(tables):
-        rep.record(top, res.ok, f"{res.name}: {res.details}")
-    pixdes, pkdes = tables["joint_pix_des"], tables["joint_pk_des"]
+              for tag in ("des", "eulerian", "fix", "joint_pk_des", "joint_pix_des")}
     for n in range(top + 1):
-        want = oracle.distribution(n, ["des"], "all")
-        got = _counts(pixdes[n].substitute_s(1))
-        rep.record(n, got == want, f"pix_des at s=1 vs brute Eulerian: {got} vs {want}")
-
-        want = oracle.distribution(n, ["fix"], "all")
-        got = _counts(pixdes[n].substitute_t(1))
-        rep.record(n, got == want, f"pix_des at t=1 vs brute fix: {got} vs {want}")
-
+        for tag, var, value, target, shadow in _SPECIALIZATIONS:
+            row = getattr(tables[tag][n], f"substitute_{var}")(value)
+            got, want, left = _counts(row), tables[target][n], "t" if var == "s" else "s"
+            rep.record(n, got == _counts(want), f"{tag} at {var}={value} vs {target}: "
+                                                f"{row.to_text(left)} vs {want.to_text(left)}")
+            if shadow is not None:
+                want = oracle.distribution(n, *shadow)
+                rep.record(n, got == want,
+                           f"{tag} at {var}={value} vs brute {shadow[0][0]}: {got} vs {want}")
         want = oracle.distribution(n, ["pk", "des"], "desarrangements")
-        rep.record(n, dict(pkdes[n].entries) == want, "joint pk,des vs brute")
+        rep.record(n, dict(tables["joint_pk_des"][n].entries) == want, "joint pk,des vs brute")
+
+    order = top + 1
+    e_x = exp_series(1, order)
+    for t in (2, 3, 5):
+        val = formulas.evaluate_formula("val", t=t, order=order)
+        rep.record(top, e_x * val == formulas.peak_egf(t, order),
+                   f"e^x * val series vs peak series at t={t}")
+        # rval over desarrangements is t * pk, plus 1 for the empty one
+        rval = (formulas.evaluate_formula("pk", t=t, order=order) - 1) * t + 1
+        rep.record(top, e_x * rval == formulas.right_valley_egf(t, order),
+                   f"e^x * rval-over-desarrangements series vs rval series at t={t}")
 
 
 @_check("equidistribution", "equidistribution", 0, 8)

@@ -370,3 +370,17 @@ def test_cli_fuzz_exits_cleanly(capsys, monkeypatch, spec_dir, data):
     captured = capsys.readouterr()
     assert code in (0, 1, 2), argv
     assert "Traceback" not in captured.out + captured.err, argv
+
+
+def test_the_benchmark_commands_print_their_recorded_outputs(monkeypatch, capsys):
+    # every command whose exit code and stdout digest the benchmark records
+    import hashlib
+    from desarrange.perms import CAP_ENV_VAR
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+    recorded = json.loads(path.read_text())["commands"]
+    assert recorded
+    monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+    for command, want in recorded.items():
+        code = cli.main(command.split())
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert (code, digest) == (want["exit"], want["stdout_sha256"]), command

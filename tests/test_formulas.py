@@ -4,8 +4,8 @@ import pytest
 
 from desarrange import formulas, oracle
 from desarrange.formulas import (
-    SPECIALIZATION_TAGS, BivarPoly, PoleError, distribution_polynomials, evaluate_formula,
-    fix_egf, good_t_points, peak_egf, right_valley_egf, rval_rows, specialization_results,
+    BivarPoly, PoleError, distribution_polynomials, evaluate_formula,
+    fix_egf, good_t_points, peak_egf, right_valley_egf, rval_rows,
 )
 from desarrange.patterns import catalan, fine, jacobsthal
 from desarrange.series import Poly, exp_series, poly_series
@@ -102,14 +102,6 @@ def test_bivar_substitutions():
     assert bp.total() == 9
     with pytest.raises(ValueError):
         BivarPoly({(0, 0): Fraction(1, 2)}).int_entries()
-
-
-def test_specialization_checks_pass():
-    results = specialization_results({tag: distribution_polynomials(tag, 6).rows
-                                      for tag in SPECIALIZATION_TAGS})
-    assert all(r.ok for r in results), [r for r in results if not r.ok]
-    names = [r.name for r in results]
-    assert "joint_pix_des at t=1 equals fix rows" in names
 
 
 def test_pd_identity_series():

@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from desarrange import formulas, oracle, patterns, verify
+from desarrange import cli, formulas, oracle, patterns, rungraph, verify
 from desarrange.perms import avoiders, class_predicate
 from desarrange.series import poly_series
 
@@ -35,6 +35,70 @@ def test_verify_json_says_when_the_range_was_clamped():
 
 def test_verify_n_max_zero():
     assert verify.all_ok(verify.verify_all(0))
+
+
+def test_specialization_checks_pass():
+    report = verify.CHECKS["specializations"](6)
+    assert report.ok and sorted(report.verdicts) == list(range(7))
+
+
+def test_swapped_joint_pk_des_fails_its_identity_at_n2(monkeypatch, capsys):
+    # s and t swapped: the packed fit and the row sums still pass, and the
+    # identity "pk-des at s=1 = des" fails at every n from 2 on
+    monkeypatch.setitem(formulas.FORMULAS, "joint_pk_des", (
+        2, lambda s, t, order: formulas._joint_pk_des(t, s, order), "desarrangements"))
+    formulas.distribution_polynomials("joint_pk_des", 8)
+    assert cli.main(["verify", "--only", "specializations", "--n-max", "8"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert lines[0] == "FAIL specializations (n=0..8)"
+    assert lines[1].startswith("    n=2: mismatch(joint_pk_des at s=1 vs des: 1 vs t)")
+    assert err == ""
+
+
+def test_run_theorem_builds_each_point_once(monkeypatch):
+    calls = []
+    real = rungraph.run_theorem_egf
+
+    def counted(spec, i, j, t=1, s=1, order=8):
+        calls.append((spec.name, i, j, t, s))
+        return real(spec, i, j, t=t, s=s, order=order)
+
+    monkeypatch.setattr(rungraph, "run_theorem_egf", counted)
+    assert verify.CHECKS["run-theorem"](9).ok
+    assert len(calls) == len(set(calls)) == 14
+
+
+def test_an_ambiguous_builtin_spec_fails_run_theorem(monkeypatch, capsys):
+    # the hypothesis violation is a failed check with one note, not a crash
+    from test_rungraph import ambiguous_spec
+    real = rungraph.builtin_spec
+    monkeypatch.setattr(rungraph, "builtin_spec",
+                        lambda name: ambiguous_spec() if name == "fig2" else real(name))
+    assert cli.main(["verify", "--only", "run-theorem", "--n-max", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "FAIL run-theorem (n=0..4)",
+        "    n=4: mismatch(hypothesis violation: composition (1, 1) is (1,2)-admissible "
+        "along multiple paths)"]
+    assert err == ""
+
+
+def test_a_displayed_example_outside_the_declared_domain_fails(monkeypatch, capsys):
+    # declared on Av(123), 321_insert cannot take its displayed example
+    # 45123: that example fails, and the rows are still checked at every n
+    wrong = patterns.BIJECTIONS["321_insert"]._replace(
+        domain=(patterns.parse_patterns("123"), "all"))
+    monkeypatch.setitem(patterns.BIJECTIONS, "321_insert", wrong)
+    assert cli.main(["verify", "--only", "bijections", "--n-max", "6"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("FAIL bijections (n=0..6)\n")
+    assert "n=5: mismatch(321_insert((4, 5, 1, 2, 3)) raised: input does not avoid 123)" in out
+    assert err == ""
+    report = verify.check_bijections(6)
+    assert sorted(report.verdicts) == list(range(7))
+    assert all(v == "match" or v.startswith("mismatch(321_insert")
+               for v in report.verdicts.values())
 
 
 def test_corrupted_formula_detected(monkeypatch):
