@@ -213,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tables", help="recompute one of the seven reference tables")
     p.add_argument("which", type=int, choices=range(1, 8))
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--n-max", type=_non_negative_int, default=9)
+    p.add_argument("--n-max", type=_non_negative_int, default=9,
+                   help="last row (default 9); table 1 ignores it and always lists n = 1..5")
     p.set_defaults(fn=cmd_tables)
 
     p = sub.add_parser("verify", help="run the verification harness")

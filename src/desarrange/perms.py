@@ -15,7 +15,8 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from collections import Counter, namedtuple
+from collections import Counter, defaultdict, namedtuple
+from operator import itemgetter
 from types import MappingProxyType
 
 Perm = tuple[int, ...]
@@ -404,25 +405,21 @@ def _walk(n: int, track: int, forbid: int, klass: str, visit):
     memo = {}
     shared = {}  # one copy of each distinct tail table
     prefix = []
-    emit = visit
 
     def record(used, last, down):
         # the tails below a state, in lexicographic order, by the same step
-        nonlocal emit
         tails = []
 
         def keep(p, m, dw, fx, _):
             tail = (m, dw, fx, tuple(p[cut:]))
             tails.append(shared.setdefault(tail, tail))
 
-        emit = keep
-        step(cut, used, last, 0, 0, 0, down)
-        emit = visit
+        step(cut, used, last, 0, 0, 0, down, keep)
         tails = tuple(tails)
         return shared.setdefault(tails, tails)
 
-    def step(k, used, last, mask, dw, fx, down):
-        # k letters placed; down: no ascent yet
+    def step(k, used, last, mask, dw, fx, down, emit):
+        # k letters placed; down: no ascent yet; emit receives each member
         pos = k + 1
         unused = full & ~used
         free = unused & ~(1 << pos) if derange else unused  # no fixed point
@@ -479,52 +476,58 @@ def _walk(n: int, track: int, forbid: int, klass: str, visit):
                 if tails:
                     emit(prefix, mask | hit, dw_c << TAIL, fx_c, tails)
             else:
-                step(pos, used | bit, c, mask | hit, dw_c, fx_c, d)
+                step(pos, used | bit, c, mask | hit, dw_c, fx_c, d, emit)
             prefix.pop()
 
     if n == 0:
         visit(prefix, 0, 0, 0, _NO_TAIL)
     else:
-        step(0, 0, 0, 0, 0, 0, True)
-    # step and record refer to each other, so without this the tables would
-    # outlive the walk until the cycle collector runs
-    memo.clear()
-    shared.clear()
+        step(0, 0, 0, 0, 0, 0, True, visit)
+    # step and record refer to themselves and each other; emptying their
+    # cells lets reference counting free the memo, the tail tables and the
+    # visitor as soon as the walk returns
+    del step, record
 
 
 def _keyed(n: int, forbid: int, klass: str, track: int = 0) -> dict:
-    """{(pattern mask, descent word, fix): [count, first member]} over the
-    members of the class that avoid forbid.
+    """{pattern mask: {(descent word, fix): [count, first member]}} over the
+    members of the class that avoid forbid, each in lexicographic order of
+    first members.
 
     The mask holds only the tracked patterns: all six in the census, and
-    none in tally's walk, so every key there carries mask 0.
+    none in tally's walk, where every member falls in group 0.
     """
-    out = {}
+    out = defaultdict(dict)
 
     def visit(prefix, mask, dw, fx, tails):
         for bits, dbits, fbits, letters in tails:
-            key = (mask | bits, dw | dbits, fx + fbits)
-            entry = out.get(key)
+            group = out[mask | bits]
+            key = (dw | dbits, fx + fbits)
+            entry = group.get(key)
             if entry is None:
-                out[key] = [1, tuple(prefix) + letters]
+                group[key] = [1, tuple(prefix) + letters]
             else:
                 entry[0] += 1
 
     _walk(n, track, forbid, klass, visit)
-    return out
+    return dict(out)
 
 
 @capped
 def census(n: int):
-    """Counter over S_n keyed (pattern mask, descent word, fix), read by tally
-    and class_count.
+    """S_n grouped by pattern mask, then keyed (descent word, fix); read by
+    tally.
 
     Each key maps to (count, first member in lexicographic order).  The
     descent word is the int whose binary digits, most significant first,
     flag the descents at positions 1..n-1.  Built on first use and cached;
     lengths above the enumeration cap raise CapExceededError.
+
+    >>> census(3)[1]
+    {(0, 3): (1, (1, 2, 3))}
     """
-    return MappingProxyType({key: tuple(entry) for key, entry in _keyed(n, 0, "all", 63).items()})
+    return MappingProxyType({mask: {key: tuple(entry) for key, entry in group.items()}
+                             for mask, group in _keyed(n, 0, "all", 63).items()})
 
 
 def tally(n: int, patterns, klass: str, value) -> dict:
@@ -533,11 +536,12 @@ def tally(n: int, patterns, klass: str, value) -> dict:
     Contract: value(p) may depend only on the descent set of p and its
     number of fixed points, as every statistic in STAT_FUNCTIONS,
     descent_composition, is_desarrangement, is_derangement and pix do.
-    Up to CENSUS_MAX, value is evaluated once per (descent word, fix) group
-    of the census, on the group's first member.  Above it, tally walks only
-    the class members that avoid the patterns (all of them for the empty
-    set), grouped the same way.  Keys come in the lexicographic order of
-    their first permutation.  Lengths above the enumeration cap raise
+    Up to CENSUS_MAX, tally merges the census groups whose mask misses the
+    forbidden set by (descent word, fix); above it, it walks only the class
+    members that avoid the patterns (all of them for the empty set), which
+    come as the one group.  value is evaluated once per (descent word, fix),
+    on its first member.  Keys come in the lexicographic order of their
+    first permutation.  Lengths above the enumeration cap raise
     CapExceededError.
 
     >>> tally(4, (), "desarrangements", des)
@@ -553,48 +557,32 @@ def tally(n: int, patterns, klass: str, value) -> dict:
         check_cap(n)
         keyed = _keyed(n, forbid, klass)
     groups = {}
-    for (mask, dw, fx), (count, p) in keyed.items():
+    for mask, group in keyed.items():
         if not mask & forbid:
-            entry = groups.get((dw, fx))
-            if entry is None:
-                groups[dw, fx] = [count, p]
-            else:
-                entry[0] += count
+            for key, (count, p) in group.items():
+                entry = groups.get(key)
+                if entry is None:
+                    groups[key] = [count, p]
+                else:
+                    entry[0] += count
+                    if p < entry[1]:  # the first member among the masks read
+                        entry[1] = p
     out = Counter()
-    for count, p in groups.values():
+    for count, p in sorted(groups.values(), key=itemgetter(1)):
         if member(p):
             out[value(p)] += count
     return dict(out)
 
 
 def class_count(n: int, patterns, klass: str) -> int:
-    """Number of members of the class avoiding every given pattern: the total
-    of any tally with the same arguments.
-
-    Up to CENSUS_MAX it adds the class's counts by pattern mask over the
-    masks disjoint from the forbidden set; those counts are folded from the
-    census once per (n, klass).  Above it, it is the total of one tally.
-    Lengths above the enumeration cap raise CapExceededError.
+    """Number of members of the class avoiding every given pattern: the
+    total of a tally with the same arguments.  Lengths above the
+    enumeration cap raise CapExceededError.
 
     >>> class_count(5, {(3, 2, 1)}, "desarrangements")
     14
     """
-    forbid = pattern_mask(patterns)
-    class_predicate(klass)  # rejects an unknown class
-    if n > CENSUS_MAX:
-        return sum(tally(n, patterns, klass, lambda p: None).values())
-    return sum(count for mask, count in _mask_counts(n, klass).items() if not mask & forbid)
-
-
-@capped
-def _mask_counts(n: int, klass: str):
-    """{pattern mask: members of the class whose contained patterns are that mask}."""
-    member = class_predicate(klass)
-    out = Counter()
-    for (mask, _, _), (count, p) in census(n).items():
-        if member(p):  # membership depends only on the key's descent word and fix
-            out[mask] += count
-    return MappingProxyType(dict(out))
+    return sum(tally(n, patterns, klass, lambda p: None).values())
 
 
 def avoiders(n: int, patterns, klass: str = "all") -> list[Perm]:

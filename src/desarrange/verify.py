@@ -300,12 +300,18 @@ _SPECIALIZATIONS = (
     ("joint_pix_des", "t", 1, "fix", (["fix"], "all")),
 )
 
+# (joint table, the brute-force statistics it must equal entry by entry, class)
+_JOINT_VS_BRUTE = (
+    ("joint_pk_des", ["pk", "des"], "desarrangements"),
+    ("joint_pix_des", ["pix", "des"], "all"),
+)
+
 
 @_check("specializations", "specializations", 0, 8)
 def check_specializations(rep: VerificationReport, top: int):
     """The joint tables specialized against the one-variable tables and
-    brute force at every n, the joint pk,des table against brute force, and
-    two series identities at the top."""
+    brute force, and compared with brute force entry by entry, at every n,
+    and two series identities at the top."""
     tables = {tag: formulas.distribution_polynomials(tag, top).rows
               for tag in ("des", "eulerian", "fix", "joint_pk_des", "joint_pix_des")}
     for n in range(top + 1):
@@ -318,8 +324,10 @@ def check_specializations(rep: VerificationReport, top: int):
                 want = oracle.distribution(n, *shadow)
                 rep.record(n, got == want,
                            f"{tag} at {var}={value} vs brute {shadow[0][0]}: {got} vs {want}")
-        want = oracle.distribution(n, ["pk", "des"], "desarrangements")
-        rep.record(n, dict(tables["joint_pk_des"][n].entries) == want, "joint pk,des vs brute")
+        for tag, stats, klass in _JOINT_VS_BRUTE:
+            want = oracle.distribution(n, stats, klass)
+            rep.record(n, dict(tables[tag][n].entries) == want,
+                       f"joint {','.join(stats)} vs brute")
 
     order = top + 1
     e_x = exp_series(1, order)

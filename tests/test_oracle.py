@@ -79,8 +79,8 @@ def direct_distribution(n, stats, klass, restrict=()):
 
 
 def test_census_distribution_matches_direct_loop():
-    # the census path evaluates statistics once per (mask, descent word, fix)
-    # key; this guards the claim that nothing else matters
+    # the census path evaluates statistics once per (descent word, fix)
+    # group; this guards the claim that nothing else matters
     from desarrange.perms import CLASSES, STAT_FUNCTIONS
     stat_lists = [[name] for name in STAT_FUNCTIONS] + [["pk", "des"]]
     for n in range(8):

@@ -203,6 +203,12 @@ def test_contains_mask_reference_agrees_with_contains_pattern():
                 assert bool(mask >> k & 1) == perms.contains_pattern(p, sigma), (p, sigma)
 
 
+def as_items(keyed):
+    """A {mask: {key: entry}} table as nested item lists, so that == compares
+    the order of the masks and of each group's keys too."""
+    return [(mask, list(group.items())) for mask, group in keyed.items()]
+
+
 def test_census_matches_per_permutation_counter():
     from collections import Counter
     for n in range(9):
@@ -211,8 +217,10 @@ def test_census_matches_per_permutation_counter():
             key = (contains_mask(p), descent_word(p), perms.fix(p))
             counts[key] += 1
             first.setdefault(key, p)
-        want = [(key, (c, first[key])) for key, c in counts.items()]
-        assert list(perms.census(n).items()) == want, n
+        want = {}
+        for (mask, dw, fx), c in counts.items():
+            want.setdefault(mask, []).append(((dw, fx), (c, first[mask, dw, fx])))
+        assert as_items(perms.census(n)) == list(want.items()), n
 
 
 def test_tail_memo_changes_no_walk(monkeypatch):
@@ -231,36 +239,50 @@ def test_tail_memo_changes_no_walk(monkeypatch):
             got = []
             for tail in (memo_tail, 0):
                 monkeypatch.setattr(perms, "TAIL", tail)
-                got.append(([list(perms._keyed(n, forbid, klass, track).items())
+                got.append(([as_items(perms._keyed(n, forbid, klass, track))
                              for track in tracks], perms.avoiders(n, pats, klass)))
             assert got[0] == got[1], (n, forbid, klass)
 
 
-def _by_descent_word_and_fix(keyed, keep):
-    """[((descent word, fix), [count, first member])] over the kept keys, in
-    the order of their first members."""
+def _by_descent_word_and_fix(census, forbid, member):
+    """[((descent word, fix), [count, first member])] over the census members
+    of the class that avoid forbid, in the order of their first members."""
     groups = {}
-    for (mask, dw, fx), (count, p) in keyed.items():
-        if keep(mask, p):
-            groups.setdefault((dw, fx), [0, p])[0] += count
-    return list(groups.items())
+    for mask, group in census.items():
+        for key, (count, p) in group.items():
+            if not mask & forbid and member(p):
+                entry = groups.setdefault(key, [0, p])
+                entry[0] += count
+                entry[1] = min(entry[1], p)
+    return sorted(groups.items(), key=lambda item: item[1][1])
 
 
 def test_avoider_walks_regroup_to_the_census():
-    # tally's walk tracks no pattern, so its masks are 0, for the empty set
-    # too; grouped by (descent word, fix) it must still give the census's
-    # counts, first members and order over the avoiders in the class
+    # tally's walk tracks no pattern, so it has the one group of mask 0, for
+    # the empty set too; that group must give the census's counts, first
+    # members and order over the avoiders in the class
     for n in range(9):
         census = perms.census(n)
         for forbid in range(64):
             for klass in perms.CLASSES:
-                member = perms.class_predicate(klass)
                 walked = perms._keyed(n, forbid, klass)
-                assert all(mask == 0 for mask, _, _ in walked), (n, forbid, klass)
-                want = _by_descent_word_and_fix(
-                    census, lambda mask, p: not mask & forbid and member(p))
-                got = _by_descent_word_and_fix(walked, lambda mask, p: True)
-                assert got == want, (n, forbid, klass)
+                assert set(walked) <= {0}, (n, forbid, klass)
+                want = _by_descent_word_and_fix(census, forbid, perms.class_predicate(klass))
+                assert list(walked.get(0, {}).items()) == want, (n, forbid, klass)
+
+
+def test_a_walk_leaves_nothing_for_the_cycle_collector():
+    # the walk's memo, tail tables, visitor and output are freed by
+    # reference counting as soon as the caller drops the result
+    import gc
+    gc.collect()
+    gc.disable()
+    try:
+        perms.avoiders(8, {(1, 3, 2)}, "desarrangements")
+        perms._keyed(8, 2, "all")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_census_cap(monkeypatch):
@@ -274,7 +296,7 @@ def test_census_cap(monkeypatch):
         perms.census(4)
     with pytest.raises(CapExceededError):
         perms.avoiders(4, {(3, 2, 1)})
-    assert sum(c for c, _ in perms.census(3).values()) == 6
+    assert sum(c for group in perms.census(3).values() for c, _ in group.values()) == 6
 
 
 def test_avoiders_match_filtered_enumeration():

@@ -1,5 +1,6 @@
 import functools
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +54,24 @@ def test_swapped_joint_pk_des_fails_its_identity_at_n2(monkeypatch, capsys):
     lines = out.splitlines()
     assert lines[0] == "FAIL specializations (n=0..8)"
     assert lines[1].startswith("    n=2: mismatch(joint_pk_des at s=1 vs des: 1 vs t)")
+    assert err == ""
+
+
+def test_joint_pix_des_is_compared_with_brute_force_entry_by_entry(monkeypatch, capsys):
+    # s t (1-s) (1-t) x^5/5! keeps every row sum, specialization and shadow
+    # of the joint pix-des table; only the entry-by-entry comparison with
+    # brute-force (pix, des) sees row 5
+    real = formulas._joint_pix_des
+
+    def mutant(s, t, order):
+        extra = Fraction(s * t * (1 - s) * (1 - t), 120)
+        return real(s, t, order) + poly_series([0, 0, 0, 0, 0, extra], order)
+
+    monkeypatch.setitem(formulas.FORMULAS, "joint_pix_des", (2, mutant, "all"))
+    assert cli.main(["verify", "--only", "specializations", "--n-max", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["FAIL specializations (n=0..8)",
+                                "    n=5: mismatch(joint pix,des vs brute)"]
     assert err == ""
 
 
