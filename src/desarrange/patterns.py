@@ -34,10 +34,11 @@ def parse_patterns(text: str) -> frozenset[Perm]:
     text = text.strip().strip("{}")
     if not text:
         return frozenset()
+    by_name = {pattern_name(sigma): sigma for sigma in PATTERNS}
     out = set()
     for chunk in text.split(","):
-        sigma = tuple(int(ch) for ch in chunk.strip())
-        if sigma not in PATTERNS:
+        sigma = by_name.get(chunk.strip())
+        if sigma is None:
             raise ValueError(f"not a length-3 pattern: {chunk.strip()!r}")
         out.add(sigma)
     return frozenset(out)

@@ -419,7 +419,11 @@ def spec_from_json(data) -> RunGraphSpec:
 
 def load_spec(path: str) -> RunGraphSpec:
     with open(path, encoding="utf-8") as fh:
-        return spec_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise SpecFormatError("malformed spec JSON: nested too deeply") from None
+    return spec_from_json(data)
 
 
 def builtin_spec(name: str) -> RunGraphSpec:

@@ -224,15 +224,19 @@ def _fig2_json():
     return json.loads(path.read_text())
 
 
-@pytest.mark.parametrize("breakage", ["dim_not_int", "parts_is_list", "not_utf8"])
+@pytest.mark.parametrize("breakage", ["dim_not_int", "parts_is_list", "not_utf8",
+                                      "nested_too_deep"])
 def test_malformed_spec_is_a_usage_error(capsys, tmp_path, breakage):
     data = _fig2_json()
     if breakage == "dim_not_int":
         data["dim"] = "two"
     elif breakage == "parts_is_list":
         data["edges"][0]["cases"][0]["parts"] = [[1, 1]]
+    text = json.dumps(data)
+    if breakage == "nested_too_deep":  # the edges, the last key, wrapped in 5,000 lists
+        text = text.replace('"edges": ', '"edges": ' + "[" * 5000)[:-1] + "]" * 5000 + "}"
     path = tmp_path / "broken.json"
-    path.write_bytes(b"\xff" if breakage == "not_utf8" else json.dumps(data).encode())
+    path.write_bytes(b"\xff" if breakage == "not_utf8" else text.encode())
     code = cli.main(["runthm", str(path), "-i", "1", "-j", "2", "--order", "4"])
     captured = capsys.readouterr()
     assert code == 2

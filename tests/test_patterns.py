@@ -1,4 +1,3 @@
-import itertools
 
 import pytest
 
@@ -23,8 +22,9 @@ def test_parse_and_label():
     assert ps == frozenset({(2, 1, 3), (3, 2, 1)})
     assert patterns_label(ps) == "213,321"
     assert parse_patterns("") == frozenset()
-    with pytest.raises(ValueError):
-        parse_patterns("12")
+    for bad in ("12", "1a3"):
+        with pytest.raises(ValueError, match=f"^not a length-3 pattern: '{bad}'$"):
+            parse_patterns(bad)
     assert pattern_mask(parse_patterns("123,321")) == 0b100001
 
 
