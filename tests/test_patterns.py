@@ -1,4 +1,3 @@
-
 import pytest
 
 from desarrange import patterns, perms, rungraph

@@ -4,8 +4,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from desarrange import patterns, rungraph, verify
+from desarrange import cli, patterns, rungraph, verify
 from desarrange.perms import avoiders, class_predicate
+from test_mutants import BROKEN_BIJECTIONS, BRUTE_SIDE_ERRORS, MUTANTS, assert_caught, ids
 
 
 def test_verify_all_small():
@@ -54,6 +55,13 @@ def test_run_theorem_builds_each_point_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 14
 
 
+@pytest.mark.parametrize("row", BRUTE_SIDE_ERRORS, ids=ids(BRUTE_SIDE_ERRORS))
+def test_a_brute_side_error_fails_its_row_comparison(monkeypatch, capsys, row):
+    # the formula rows hold Fractions and the brute counts ints; one count
+    # off by one at n = 4 must still fail the comparison there
+    assert_caught(monkeypatch, capsys, *row[1:])
+
+
 def test_render_functions():
     reports = verify.verify_all(3)
     text = verify.render_text(reports)
@@ -96,6 +104,18 @@ def test_bijections_round_trip_beyond_verify_range(data):
         shift = len(q) - n
         assert shift in b.shifts
         assert patterns.bijection(name, q, "inverse", grow=-shift) == p
+
+
+@pytest.mark.parametrize("row", BROKEN_BIJECTIONS, ids=ids(BROKEN_BIJECTIONS))
+def test_verify_catches_a_broken_bijection(monkeypatch, capsys, row):
+    assert_caught(monkeypatch, capsys, *row[1:])
+
+
+def test_transcription_failure_keeps_the_checks_subject_and_range(monkeypatch, capsys):
+    next(row[1] for row in MUTANTS if row[0] == "des/t")(monkeypatch)
+    assert cli.main(["verify", "--only", "tables", "--n-max", "12", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert report["n_range"] == [0, 9] and report["n_requested"] == 12 and report["clamped"]
 
 
 @pytest.mark.parametrize("n_max", [0, 3, 5])
