@@ -1,16 +1,15 @@
 """The mutation catalog: which verify check catches which planted defect.
 
 A row of MUTANTS, BRUTE_SIDE_ERRORS or BROKEN_BIJECTIONS is (name, patch,
-check, n_max, expected).  patch(monkeypatch) plants one defect; `verify --only check --n-max n_max` must then exit 1
-with nothing on stderr, and its stdout must start with expected: the FAIL
-line, then the first failing n and its note (all of stdout if expected ends
-in a newline).  Adding a mutant is adding a row.  A row marked
-xfail(strict=True) is a known gap: no check catches it yet, and the change
-that closes the gap must drop the mark.
+check, n_max, expected).  patch(monkeypatch) plants one defect; `verify
+--only check --n-max n_max` must then exit 1 with nothing on stderr, and its
+stdout must start with expected: the FAIL line, then the first failing n and
+its note (all of stdout if expected ends in a newline).  Adding a mutant is
+adding a row.  A row of KNOWN_GAPS is a mutant no check catches yet; the
+change that closes the gap moves it to MUTANTS.
 """
 import functools
 import inspect
-import re
 
 import pytest
 
@@ -75,6 +74,9 @@ def _record(b, **fields):
     return lambda mp: mp.setitem(patterns.BIJECTIONS, b.name, b._replace(**fields))
 
 
+DES_OVER_T = _formula("des", lambda f, t, o: f(t, o) / t)
+
+
 def _fail(subject, top, n, note, low=0):
     return f"FAIL {subject} (n={low}..{top})\n    n={n}: mismatch({note}"
 
@@ -129,11 +131,13 @@ MUTANTS = [
      _fail(_TABLES, 3, 2, _ROW.format(2, "sums to 3,"))),
     ("des+x^5", _formula("des", _plus([0] * 5 + [1])), "tables", 9,
      _fail(_TABLES, 9, 5, _ROW.format(5, "sums to 164,"))),
-    ("des/t", _formula("des", lambda f, t, o: f(t, o) / t), "tables", 12,
+    ("des/t", DES_OVER_T, "tables", 12,
      _fail(_TABLES, 9, 0, _ROW.format(0, "point (3, 1/3) inconsistent with degree-0 interpolant"))),
     ("des-pole-everywhere", _formula("des", _pole), "tables", 5,
      _fail(_TABLES, 5, 5, "formula pole: could not find 7 good points for des)")),
-    ("pk-des-swapped-s-t", _formula("joint_pk_des", lambda f, s, t, o: f(t, s, o)),
+    ("pk-des-swapped-s-t", lambda mp: (  # the swapped table still fits and sums
+        _formula("joint_pk_des", lambda f, s, t, o: f(t, s, o))(mp),
+        formulas.distribution_polynomials("joint_pk_des", 8)),
      "specializations", 8, _fail(_SPEC, 8, 2, "joint_pk_des at s=1 vs des: 1 vs t)")),
     ("pk-des*s", _formula("joint_pk_des", lambda f, s, t, o: f(s, t, o) * s),
      "specializations", 5, _fail(_SPEC, 5, 0, _ROW.format(0, "term s^1 t^0 above s-degree 0)"))),
@@ -201,21 +205,17 @@ MUTANTS = [
      _fail(_BIJ, 6, 0, "complement: () -> () does not toggle desarrangement-ness)")),
     ("complement-fixes-desarrangements", _record(COMPLEMENT, fixes="desarrangements", n_min=1),
      "bijections", 6, _fail(_BIJ, 6, 2, "complement: not the identity on (2, 1))")),
-    pytest.param("321-count+1-at-15", _setattr(
-        patterns, "closed_form_count", lambda n, p, real=patterns.closed_form_count:
-        real(n, p) + (n == 15 and set(p) == {patterns.P321})),
-        "patterns", 20, _fail("pattern-counts", 20, 15, "{321}: formula"),
-        marks=pytest.mark.xfail(strict=True, reason="pattern-counts stops at n = 9")),
 ]
-
-
-def ids(rows):
-    return [getattr(row, "values", row)[0] for row in rows]
+KNOWN_GAPS = [pytest.param(("321-count+1-at-15", _setattr(
+    patterns, "closed_form_count", lambda n, p, real=patterns.closed_form_count:
+    real(n, p) + (n == 15 and set(p) == {patterns.P321})),
+    "patterns", 20, _fail("pattern-counts", 20, 15, "{321}: formula")),
+    marks=pytest.mark.xfail(strict=True, raises=AssertionError,
+                            reason="pattern-counts stops at n = 9"))]
 
 
 def assert_caught(monkeypatch, capsys, patch, check, n_max, expected):
-    """Plant patch, run `verify --only check --n-max n_max`, match the row's expected."""
-    assert re.match(r"FAIL [\w-]+ \(n=\d+\.\.\d+\)\n    n=\d+: mismatch\(.", expected)
+    """Plant patch, run `verify --only check --n-max n_max`, match expected, return stdout."""
     memos = (perms.census, rungraph.descent_composition_counts, rungraph._exponent_counts)
     sizes = [memo.cache_info().currsize for memo in memos]
     patch(monkeypatch)
@@ -225,16 +225,17 @@ def assert_caught(monkeypatch, capsys, patch, check, n_max, expected):
     assert out == expected or not expected.endswith("\n"), out
     if perms.CENSUS_MAX < 0:  # no memo keeps what the mutant walk built
         assert [memo.cache_info().currsize for memo in memos] == sizes
+    return out
 
 
-@pytest.mark.parametrize("name, patch, check, n_max, expected", MUTANTS, ids=ids(MUTANTS))
-def test_verify_catches_the_mutant(monkeypatch, capsys, name, patch, check, n_max, expected):
-    assert_caught(monkeypatch, capsys, patch, check, n_max, expected)
+@pytest.mark.parametrize("row", MUTANTS + KNOWN_GAPS, ids=lambda row: row[0])
+def test_verify_catches_the_mutant(monkeypatch, capsys, row):
+    assert_caught(monkeypatch, capsys, *row[1:])
 
 
 def test_every_check_has_a_mutant():
     rows = MUTANTS + BRUTE_SIDE_ERRORS + BROKEN_BIJECTIONS
-    assert {getattr(row, "values", row)[2] for row in rows} == set(verify.CHECKS)
+    assert {row[2] for row in rows} == set(verify.CHECKS)
 
 
 def test_a_new_bijection_needs_only_its_record(monkeypatch):
