@@ -70,14 +70,16 @@ def render_table1(fmt: str) -> str:
 def render_stat_table(which: int, fmt: str, n_max: int) -> str:
     from . import formulas
     tag = STAT_TABLE_IDS[which]
-    table = formulas.distribution_polynomials(tag, n_max)
+    rows = formulas.distribution_polynomials(tag, n_max).rows
     if fmt == "json":
-        return json.dumps(table.to_json(), indent=2)
+        return json.dumps({"tag": tag, "rows": {str(n): row.to_json() for n, row in rows.items()}},
+                          indent=2)
     if fmt == "csv":
-        return table.to_csv()
+        lines = ["n,coefficients"]
+        lines.extend(",".join(map(str, [n, *row.int_coeffs()])) for n, row in rows.items())
+        return "\n".join(lines) + "\n"
     lines = [f"n\tD_n^{tag}(t)"]
-    for n in sorted(table.rows):
-        lines.append(f"{n}\t{table.rows[n].to_text()}")
+    lines.extend(f"{n}\t{row.to_text()}" for n, row in rows.items())
     return "\n".join(lines)
 
 

@@ -37,9 +37,7 @@ brute-force oracle tests.
 """
 from __future__ import annotations
 
-import csv
 import functools
-import io
 from collections import namedtuple
 from fractions import Fraction
 from math import factorial
@@ -218,75 +216,35 @@ def evaluate_formula(tag: str, t=None, s=None, order: int = 8) -> TruncSeries:
 
 
 class BivarPoly:
-    """Polynomial in s and t with rational coefficients, keyed (s_exp, t_exp)."""
+    """Polynomial in s and t with integer counts, keyed (s_exp, t_exp)."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        self.entries = {k: Fraction(v) for k, v in entries.items() if v != 0}
+        self.entries = entries
 
-    def substitute_s(self, value) -> Poly:
+    def substitute(self, var: str, value) -> Poly:
+        """The polynomial in the other variable, with var ("s" or "t") set to value."""
         value = Fraction(value)
-        deg_t = max((j for _, j in self.entries), default=0)
-        coeffs = [Fraction(0)] * (deg_t + 1)
-        for (i, j), c in self.entries.items():
-            coeffs[j] += c * value ** i
+        at = 0 if var == "s" else 1  # var's slot in the (s_exp, t_exp) keys
+        coeffs = [0] * (1 + max((key[1 - at] for key in self.entries), default=0))
+        for key, c in self.entries.items():
+            coeffs[key[1 - at]] += c * value ** key[at]
         return Poly(coeffs)
 
-    def substitute_t(self, value) -> Poly:
-        value = Fraction(value)
-        deg_s = max((i for i, _ in self.entries), default=0)
-        coeffs = [Fraction(0)] * (deg_s + 1)
-        for (i, j), c in self.entries.items():
-            coeffs[i] += c * value ** j
-        return Poly(coeffs)
-
-    def int_entries(self) -> dict[tuple[int, int], int]:
-        out = {}
-        for key, c in sorted(self.entries.items()):
-            if c.denominator != 1:
-                raise ValueError(f"non-integer coefficient {c} at {key}")
-            out[key] = c.numerator
-        return out
-
-    def total(self) -> Fraction:
-        return sum(self.entries.values(), Fraction(0))
+    def total(self) -> int:
+        return sum(self.entries.values())
 
     def __eq__(self, other):
         return isinstance(other, BivarPoly) and self.entries == other.entries
 
     def __repr__(self):
-        return f"BivarPoly({self.int_entries() if self.entries else {}})"
+        return f"BivarPoly({self.entries})"
 
 
 class DistributionTable(namedtuple("DistributionTable", "tag rows")):
     """Rows n -> distribution polynomial (Poly, or BivarPoly for joint tags)."""
     __slots__ = ()
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        first = self.rows[min(self.rows)] if self.rows else None
-        if isinstance(first, BivarPoly):
-            writer.writerow(["n", "s_exp", "t_exp", "count"])
-            for n in sorted(self.rows):
-                for (i, j), c in sorted(self.rows[n].int_entries().items()):
-                    writer.writerow([n, i, j, c])
-        else:
-            writer.writerow(["n", "coefficients"])
-            for n in sorted(self.rows):
-                writer.writerow([n] + self.rows[n].int_coeffs())
-        return buf.getvalue()
-
-    def to_json(self) -> dict:
-        rows = {}
-        for n in sorted(self.rows):
-            r = self.rows[n]
-            if isinstance(r, BivarPoly):
-                rows[str(n)] = [[i, j, c] for (i, j), c in sorted(r.int_entries().items())]
-            else:
-                rows[str(n)] = r.to_json()
-        return {"tag": self.tag, "rows": rows}
 
 
 def good_t_points(tag: str, count: int, order: int, s=None):

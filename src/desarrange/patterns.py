@@ -55,10 +55,6 @@ def all_pattern_sets():
             yield frozenset(combo)
 
 
-def complement_patterns(patterns) -> frozenset[Perm]:
-    return frozenset(tuple(4 - v for v in s) for s in patterns)
-
-
 def avoids(p, patterns) -> bool:
     """True iff no subsequence of p standardizes to a pattern in the set."""
     return all(not contains_pattern(p, sigma) for sigma in patterns)
@@ -511,10 +507,6 @@ class EquidistributionReport(namedtuple("EquidistributionReport", "n_max entries
     @property
     def pixfix_list_exact(self) -> bool:
         return all(e.pixfix_match == e.in_pixfix_conjecture for e in self.entries)
-
-    def entry(self, patterns) -> PatternSetEvidence:
-        label = patterns_label(frozenset(patterns))
-        return next(e for e in self.entries if e.patterns == label)
 
     def to_json(self) -> dict:
         return {

@@ -49,18 +49,6 @@ def enumeration_cap() -> int:
     return cap
 
 
-def check_permutation(p) -> Perm:
-    """Validate that p is a rearrangement of 1..n and return it as a tuple.
-
-    >>> check_permutation([2, 1, 3])
-    (2, 1, 3)
-    """
-    p = tuple(p)
-    if sorted(p) != list(range(1, len(p) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(p)}: {p}")
-    return p
-
-
 def standardize(word) -> Perm:
     """Replace the smallest letter by 1, the next smallest by 2, and so on.
 
@@ -232,21 +220,6 @@ STAT_FUNCTIONS = {
     "des": des, "asc": asc, "pk": pk, "val": val, "dasc": dasc,
     "ddes": ddes, "rval": rval, "fix": fix, "pix": pix,
 }
-
-
-class StatRecord(namedtuple("StatRecord", (*STAT_FUNCTIONS, "first_ascent"))):
-    """All statistics of one permutation; first_ascent is None for the empty one."""
-    __slots__ = ()
-
-
-def statistics(p) -> StatRecord:
-    """All statistics of p in one record.
-
-    >>> statistics((3, 1, 2, 5, 4)).des
-    2
-    """
-    p = tuple(p)
-    return StatRecord(*(f(p) for f in STAT_FUNCTIONS.values()), first_ascent(p))
 
 
 _CLASS_TESTS = {
@@ -620,21 +593,3 @@ def perm_to_str(p) -> str:
     if len(p) <= 9:
         return "".join(str(v) for v in p)
     return ",".join(str(v) for v in p)
-
-
-def perm_from_str(s: str) -> Perm:
-    """Inverse of perm_to_str.
-
-    >>> perm_from_str('31254')
-    (3, 1, 2, 5, 4)
-    >>> perm_from_str('e')
-    ()
-    """
-    s = s.strip()
-    if s == "e" or s == "":
-        return ()
-    if "," in s:
-        values = tuple(int(x) for x in s.split(","))
-    else:
-        values = tuple(int(ch) for ch in s)
-    return check_permutation(values)

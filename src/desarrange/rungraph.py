@@ -2,7 +2,8 @@
 Weighted digraph specs and the generalized run-theorem pipeline.
 
 A spec is a directed graph on vertices 1..m where each edge carries a set
-of admissible part sizes and a piecewise weight rule t^(a*k+b) * s^(c*k+d).
+of admissible part sizes and a piecewise weight rule t^(a*k+b) * s^(c*k+d);
+in a spec read from JSON, every vertex must touch an edge.
 A composition is (i,j)-admissible when its parts can be read off a path
 from i to j; the pipeline demands that no composition be admissible along
 two different paths.  Under that hypothesis, building
@@ -65,9 +66,6 @@ class PartSet(namedtuple("PartSet", "progressions extras")):
         if k in self.extras:
             return True
         return any(k >= k0 and (k - k0) % m == 0 for k0, m in self.progressions)
-
-    def is_finite(self) -> bool:
-        return not self.progressions
 
 
 class WeightCase(namedtuple("WeightCase", "guard t_exp s_exp")):
@@ -134,7 +132,7 @@ def _check_cases(edge: Edge):
                 f"edge ({edge.src},{edge.dst}): case guards overlap at k={k}")
     for case in edge.cases:
         for (a, b), label in ((case.t_exp, "t"), (case.s_exp, "s")):
-            if a < 0 and not case.guard.is_finite():
+            if a < 0 and case.guard.progressions:
                 raise SpecFormatError(f"{label}-exponent slope {a} negative on infinite guard")
             ks = list(case.guard.extras) + [k0 for k0, _ in case.guard.progressions]
             for k in ks:
@@ -145,22 +143,22 @@ def _check_cases(edge: Edge):
 def _guard_overlap(a: PartSet, b: PartSet) -> int | None:
     """Smallest element in both part sets, or None when they are disjoint.
 
-    Two arithmetic progressions intersect, if at all, within one lcm of
-    their steps past the later start, so the scan below is complete.
+    Two arithmetic progressions k0a + ma*x and k0b + mb*y meet iff
+    gcd(ma, mb) divides k0b - k0a, and then in one residue class modulo
+    lcm(ma, mb), which the Chinese remainder theorem gives; its first
+    member from the later start on is their smallest common element.
     """
-    for k in sorted(a.extras):
-        if k in b:
-            return k
-    for k in sorted(b.extras):
-        if k in a:
-            return k
+    common = [k for k in a.extras if k in b] + [k for k in b.extras if k in a]
     for k0a, ma in a.progressions:
         for k0b, mb in b.progressions:
-            start = max(k0a, k0b)
-            for k in range(start, start + math.lcm(ma, mb)):
-                if k in a and k in b:
-                    return k
-    return None
+            g = math.gcd(ma, mb)
+            if (k0b - k0a) % g:
+                continue
+            step = mb // g  # k0a + ma*x hits k0b mod mb iff x is one residue mod step
+            x = (k0b - k0a) // g * pow(ma // g, -1, step) % step
+            start, lcm = max(k0a, k0b), ma * step
+            common.append(start + (k0a + ma * x - start) % lcm)
+    return min(common, default=None)
 
 
 # --- admissibility ---
@@ -394,7 +392,8 @@ def _int_pair(value, what: str) -> tuple[int, int]:
 
 
 def spec_from_json(data) -> RunGraphSpec:
-    """Parse a spec; any shape or type error raises SpecFormatError."""
+    """Parse a spec; any shape or type error, or a vertex that no edge
+    touches, raises SpecFormatError."""
     _expect(data, dict, "the spec")
     edges = []
     for ed in _member(data, "edges", list, "the spec"):
@@ -413,8 +412,15 @@ def spec_from_json(data) -> RunGraphSpec:
                                     _int_pair(_member(c, "s_exp", list, "a case"), "'s_exp'")))
         edges.append(Edge(_member(ed, "from", int, "an edge"), _member(ed, "to", int, "an edge"),
                           tuple(cases)))
-    return RunGraphSpec(_member(data, "name", str, "the spec"),
+    spec = RunGraphSpec(_member(data, "name", str, "the spec"),
                         _member(data, "dim", int, "the spec"), tuple(edges))
+    # every edge end lies in 1..dim, so each vertex touches an edge iff
+    # there are dim distinct ends; a loop over 1..dim could take forever
+    ends = sorted({v for e in edges for v in (e.src, e.dst)})
+    if len(ends) < spec.dim:
+        k = next((v for v, end in enumerate(ends, 1) if v != end), len(ends) + 1)
+        raise SpecFormatError(f"malformed spec JSON: vertex {k} has no edge")
+    return spec
 
 
 def load_spec(path: str) -> RunGraphSpec:

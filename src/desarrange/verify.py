@@ -105,8 +105,8 @@ def _check(name: str, subject: str, n_min: int, limit: int):
 
 
 def _counts(row) -> dict:
-    """The nonzero coefficients of a polynomial row, by exponent."""
-    return {k: c for k, c in enumerate(row.coeffs) if c}
+    """The nonzero coefficients of a polynomial row of counts, by exponent."""
+    return {k: c for k, c in enumerate(row.int_coeffs()) if c}
 
 
 @_check("table1", "table1-membership", 0, 5)
@@ -316,7 +316,7 @@ def check_specializations(rep: VerificationReport, top: int):
               for tag in ("des", "eulerian", "fix", "joint_pk_des", "joint_pix_des")}
     for n in range(top + 1):
         for tag, var, value, target, shadow in _SPECIALIZATIONS:
-            row = getattr(tables[tag][n], f"substitute_{var}")(value)
+            row = tables[tag][n].substitute(var, value)
             got, want, left = _counts(row), tables[target][n], "t" if var == "s" else "s"
             rep.record(n, got == _counts(want), f"{tag} at {var}={value} vs {target}: "
                                                 f"{row.to_text(left)} vs {want.to_text(left)}")
@@ -326,7 +326,7 @@ def check_specializations(rep: VerificationReport, top: int):
                            f"{tag} at {var}={value} vs brute {shadow[0][0]}: {got} vs {want}")
         for tag, stats, klass in _JOINT_VS_BRUTE:
             want = oracle.distribution(n, stats, klass)
-            rep.record(n, dict(tables[tag][n].entries) == want,
+            rep.record(n, tables[tag][n].entries == want,
                        f"joint {','.join(stats)} vs brute")
 
     order = top + 1

@@ -225,11 +225,13 @@ def _fig2_json():
 
 
 @pytest.mark.parametrize("breakage", ["dim_not_int", "parts_is_list", "not_utf8",
-                                      "nested_too_deep"])
+                                      "nested_too_deep", "isolated_vertex"])
 def test_malformed_spec_is_a_usage_error(capsys, tmp_path, breakage):
     data = _fig2_json()
     if breakage == "dim_not_int":
         data["dim"] = "two"
+    elif breakage == "isolated_vertex":
+        data["dim"] = 3
     elif breakage == "parts_is_list":
         data["edges"][0]["cases"][0]["parts"] = [[1, 1]]
     text = json.dumps(data)

@@ -48,6 +48,8 @@ def test_spec_validation():
                                 Edge(1, 2, (unit_case(extras=[2]),))))
     with pytest.raises(SpecFormatError):  # overlapping case guards
         Edge(1, 2, (unit_case([(1, 1)]), unit_case(extras=[3])))
+    with pytest.raises(SpecFormatError, match="k=1000000000001"):  # steps with lcm ~ 10^12
+        Edge(1, 1, (unit_case([(1, 1000000)]), unit_case([(2, 1000001)])))
     with pytest.raises(SpecFormatError):  # negative exponent on the guard
         Edge(1, 2, (WeightCase(PartSet.make([(1, 1)], []), (1, -2), (0, 0)),))
     with pytest.raises(SpecFormatError):  # negative slope over an infinite guard
@@ -136,6 +138,19 @@ def random_specs(draw):
                 extras = draw(st.lists(st.integers(1, 6), max_size=3))
                 edges.append(Edge(u, v, (unit_case(progressions, extras),)))
     return RunGraphSpec("random", dim, tuple(edges))
+
+
+part_sets = st.builds(PartSet.make, st.lists(st.tuples(st.integers(1, 8), st.integers(1, 6)),
+                                               max_size=2),
+                      st.lists(st.integers(1, 12), max_size=3))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(part_sets, part_sets)
+def test_guard_overlap_is_the_smallest_common_part(a, b):
+    # progressions meet below their later start (<= 8) plus the lcm of their steps (<= 30)
+    common = [k for k in range(1, 40) if k in a and k in b]
+    assert rungraph._guard_overlap(a, b) == (common[0] if common else None)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -338,9 +353,12 @@ def test_peak_descent_derivation():
 
 
 def test_json_round_trip():
-    # specs are only read from JSON; a spec without edges is malformed
+    # specs are only read from JSON; a spec without edges is malformed, and so
+    # is one with a vertex that no edge touches, however many vertices it claims
     with pytest.raises(SpecFormatError):
         spec_from_json({"name": "x", "dim": 2})
+    with pytest.raises(SpecFormatError, match="vertex 1 has no edge"):
+        spec_from_json({"name": "x", "dim": 10 ** 9, "edges": []})
 
 
 # the JSON of every shipped spec, the seeds of the fuzz test below
