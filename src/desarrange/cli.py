@@ -70,17 +70,19 @@ def render_table1(fmt: str) -> str:
 def render_stat_table(which: int, fmt: str, n_max: int) -> str:
     from . import formulas
     tag = STAT_TABLE_IDS[which]
-    rows = formulas.distribution_polynomials(tag, n_max).rows
+    rows = formulas.distribution_polynomials(tag, n_max)
+    if fmt == "text":
+        lines = [f"n\tD_n^{tag}(t)"]
+        lines.extend(f"{n}\t{formulas.row_text(row)}" for n, row in rows.items())
+        return "\n".join(lines)
+    # csv and json list every count up to the degree, constant term first
+    dense = {str(n): [str(row.get(k, 0)) for k in range(max(row, default=-1) + 1)]
+             for n, row in rows.items()}
     if fmt == "json":
-        return json.dumps({"tag": tag, "rows": {str(n): row.to_json() for n, row in rows.items()}},
-                          indent=2)
-    if fmt == "csv":
-        lines = ["n,coefficients"]
-        lines.extend(",".join(map(str, [n, *row.int_coeffs()])) for n, row in rows.items())
-        return "\n".join(lines) + "\n"
-    lines = [f"n\tD_n^{tag}(t)"]
-    lines.extend(f"{n}\t{row.to_text()}" for n, row in rows.items())
-    return "\n".join(lines)
+        return json.dumps({"tag": tag, "rows": dense}, indent=2)
+    lines = ["n,coefficients"]
+    lines.extend(",".join([n, *counts]) for n, counts in dense.items())
+    return "\n".join(lines) + "\n"
 
 
 def render_table7(fmt: str, n_max: int) -> str:
@@ -252,10 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)  # arguments keep the digit limit
     previous = os.environ.get(CAP_ENV_VAR)
     if args.cap_override is not None:
         os.environ[CAP_ENV_VAR] = str(args.cap_override)
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # exact outputs may have any number of digits
     try:
         return args.fn(args)
     except CapExceededError as exc:
@@ -264,7 +268,8 @@ def main(argv=None) -> int:
     except CapSettingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:  # the override lasts this one call
+    finally:  # the override and the lifted limit last this one call
+        sys.set_int_max_str_digits(digits)
         if previous is None:
             os.environ.pop(CAP_ENV_VAR, None)
         else:

@@ -14,6 +14,11 @@ transcription check.  A joint formula is evaluated at the one value
 s = 2^B, with 2^(B-1) > n_max!, so the same fit in t yields integers whose
 base-2^B digits are the s-coefficients: one fit path for every table.
 
+A distribution row has the shape perms.tally returns: a count map
+{t-exponent: count}, or {(s-exponent, t-exponent): count} for a joint
+formula, with ascending keys and no zero counts, so a row and its
+brute-force counterpart compare by ==.  row_text renders a one-variable row.
+
 Every formula that the source material states with a square root
 (sqrt(1-t), or the combined radicals in the double-ascent/descent and
 joint peak formulas) is first rewritten to be even in that radical, so
@@ -38,12 +43,11 @@ brute-force oracle tests.
 from __future__ import annotations
 
 import functools
-from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
 from .series import (
-    ConstantTermError, InterpolationError, Poly, TruncSeries,
+    ConstantTermError, InterpolationError, TruncSeries,
     cosh_even, exp_series, interpolate_rows, poly_series, sinh_even_div,
 )
 
@@ -215,38 +219,6 @@ def evaluate_formula(tag: str, t=None, s=None, order: int = 8) -> TruncSeries:
     return build(*(Fraction(v) for v in variables), order)
 
 
-class BivarPoly:
-    """Polynomial in s and t with integer counts, keyed (s_exp, t_exp)."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        self.entries = entries
-
-    def substitute(self, var: str, value) -> Poly:
-        """The polynomial in the other variable, with var ("s" or "t") set to value."""
-        value = Fraction(value)
-        at = 0 if var == "s" else 1  # var's slot in the (s_exp, t_exp) keys
-        coeffs = [0] * (1 + max((key[1 - at] for key in self.entries), default=0))
-        for key, c in self.entries.items():
-            coeffs[key[1 - at]] += c * value ** key[at]
-        return Poly(coeffs)
-
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-    def __eq__(self, other):
-        return isinstance(other, BivarPoly) and self.entries == other.entries
-
-    def __repr__(self):
-        return f"BivarPoly({self.entries})"
-
-
-class DistributionTable(namedtuple("DistributionTable", "tag rows")):
-    """Rows n -> distribution polynomial (Poly, or BivarPoly for joint tags)."""
-    __slots__ = ()
-
-
 def good_t_points(tag: str, count: int, order: int, s=None):
     """First `count` integer t >= 2 where the formula evaluates, with series."""
     out = []
@@ -262,9 +234,20 @@ def good_t_points(tag: str, count: int, order: int, s=None):
     return out
 
 
+def row_text(row: dict, var: str = "t") -> str:
+    """A one-variable row as its polynomial, like 3t+5t^2+t^3: ascending
+    powers, unit coefficients dropped, and 0 for the empty row."""
+    terms = []
+    for k, c in row.items():
+        power = "" if k == 0 else var if k == 1 else f"{var}^{k}"
+        terms.append(power if c == 1 and power else f"{c}{power}")
+    return "+".join(terms) or "0"
+
+
 def _sampled_rows(points, n_max: int):
-    """Yield, for n = 0..n_max, the polynomial of degree <= n through the
-    EGF values n! [x^n] at the points; its coefficients must all be counts."""
+    """Yield, for n = 0..n_max, the row of the polynomial of degree <= n
+    through the EGF values n! [x^n] at the points; its coefficients must
+    all be counts."""
     xs = [v for v, _ in points]
     rows = ([ser.egf_coeff(n) for _, ser in points] for n in range(n_max + 1))
     fits = interpolate_rows(xs, rows, range(n_max + 1))
@@ -276,18 +259,17 @@ def _sampled_rows(points, n_max: int):
         for c in poly.coeffs:
             if c.denominator != 1 or c < 0:
                 raise TranscriptionError(f"row {n}: coefficient {c} not a count", n)
-        yield poly
+        yield {k: c.numerator for k, c in enumerate(poly.coeffs) if c}
 
 
-def _unpacked(poly: Poly, n: int, bits: int) -> BivarPoly:
+def _unpacked(row: dict, n: int, bits: int) -> dict:
     """Row n of a joint table from its fit at s = 2^bits: the base-2^bits
-    digits of the t^j coefficient are the coefficients of s^0 t^j, s^1 t^j, ...
+    digits of the t^j count are the counts of s^0 t^j, s^1 t^j, ...
     Each must be a count of at most n!, and none may sit above s^n."""
     entries = {}
     most = factorial(n)
     low = (1 << bits) - 1
-    for j, c in enumerate(poly.coeffs):
-        packed = c.numerator  # a count, as _sampled_rows checked
+    for j, packed in row.items():
         i = 0
         while packed:
             digit = packed & low
@@ -300,29 +282,29 @@ def _unpacked(poly: Poly, n: int, bits: int) -> BivarPoly:
                 entries[i, j] = digit
             packed >>= bits
             i += 1
-    return BivarPoly(entries)
+    return dict(sorted(entries.items()))
 
 
-def _row_sums_checked(table: DistributionTable) -> DistributionTable:
-    """The table, once each row n totals the size of its formula's class:
+def _row_sums_checked(tag: str, rows: dict) -> dict:
+    """The rows, once each row n totals the size of its formula's class:
     n! for all permutations, and d_n = n * d_(n-1) + (-1)^n for the
     desarrangements, which are as many as the derangements."""
-    klass = FORMULAS[table.tag][2]
+    klass = FORMULAS[tag][2]
     sign = 1 if klass == "desarrangements" else 0
     size = 1
-    for n in range(len(table.rows)):
+    for n, row in rows.items():
         if n:
             size = n * size + sign * (-1) ** n
-        row = table.rows[n]
-        total = row.total() if isinstance(row, BivarPoly) else row(1)
+        total = sum(row.values())
         if total != size:
             raise TranscriptionError(
                 f"row {n}: sums to {total}, but class {klass!r} has {size} members", n)
-    return table
+    return rows
 
 
-def distribution_polynomials(tag: str, n_max: int) -> DistributionTable:
-    """Rows 0..n_max of the distribution encoded by the named formula.
+def distribution_polynomials(tag: str, n_max: int) -> dict:
+    """Rows 0..n_max of the distribution encoded by the named formula, as
+    {n: row}.
 
     All rows are fitted in t on one node set (series.interpolate_rows).  A
     joint formula is sampled at the one point s = 2^B, where 2^(B-1) > n_max!
@@ -337,9 +319,9 @@ def distribution_polynomials(tag: str, n_max: int) -> DistributionTable:
     bits = factorial(n_max).bit_length() + 1
     s = 2 ** bits if arity == 2 else None
     points = good_t_points(tag, n_max + 2, n_max + 1, s=s)
-    rows = {n: poly if s is None else _unpacked(poly, n, bits)
-            for n, poly in enumerate(_sampled_rows(points, n_max))}
-    return _row_sums_checked(DistributionTable(tag, rows))
+    rows = {n: row if s is None else _unpacked(row, n, bits)
+            for n, row in enumerate(_sampled_rows(points, n_max))}
+    return _row_sums_checked(tag, rows)
 
 
 def rval_rows(pk_rows: dict) -> dict:
@@ -348,7 +330,5 @@ def rval_rows(pk_rows: dict) -> dict:
     Every nonempty desarrangement has exactly one more right valley than
     peaks, and the empty permutation has none.
     """
-    rows = {0: Poly([1])}
-    for n in range(1, max(pk_rows) + 1):
-        rows[n] = Poly([Fraction(0)] + list(pk_rows[n].coeffs))
-    return rows
+    return {n: {k + 1: c for k, c in row.items()} if n else {0: 1}
+            for n, row in pk_rows.items()}

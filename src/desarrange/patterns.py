@@ -72,12 +72,14 @@ def catalan(n: int) -> int:
 
 
 def fine(n: int) -> int:
-    """Fine numbers with F_0 = 0, F_1 = 1, F_2 = 0, ... via C_m = 2F_{m+1} + F_m."""
+    """Fine numbers with F_0 = 0, F_1 = 1, F_2 = 0, ... via C_m = 2F_{m+1} + F_m,
+    carrying C_m along by C_{m+1} = C_m * 2(2m+1) / (m+2)."""
     if n == 0:
         return 0
-    f = 1
+    f, c = 1, 1  # F_1, C_1
     for m in range(1, n):
-        f = (catalan(m) - f) // 2
+        f = (c - f) // 2
+        c = c * 2 * (2 * m + 1) // (m + 2)
     return f
 
 
@@ -96,15 +98,16 @@ def fibonacci(n: int) -> int:
 
 
 def a_seq(n: int) -> int:
-    """a_0 = 1 and a_{m+1} = C_m - a_m.
+    """a_0 = 1 and a_{m+1} = C_m - a_m, carrying C_m along as fine does.
 
     The recurrence gives a_11 = 13035; a printed table elsewhere repeats
     3761 at index 11, which the recurrence (and brute force over the
     213-avoiding desarrangements of length 11) contradicts.
     """
-    a = 1
+    a, c = 1, 1  # a_0, C_0
     for m in range(n):
-        a = catalan(m) - a
+        a = c - a
+        c = c * 2 * (2 * m + 1) // (m + 2)
     return a
 
 

@@ -414,7 +414,8 @@ def hat_transform(obj):
 
 
 class Poly:
-    """Polynomial with rational coefficients, constant term first."""
+    """Polynomial with rational coefficients, constant term first: what
+    interpolation returns."""
 
     __slots__ = ("coeffs",)
 
@@ -424,29 +425,12 @@ class Poly:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
 
-    @property
-    def degree(self) -> int:
-        """Degree; the zero polynomial reports -1."""
-        return len(self.coeffs) - 1
-
     def __call__(self, x) -> Fraction:
         x = _as_fraction(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
-
-    def int_coeffs(self) -> list[int]:
-        """Coefficients as integers, padded with the constant term first."""
-        out = []
-        for c in self.coeffs:
-            if c.denominator != 1:
-                raise ValueError(f"non-integer coefficient {c}")
-            out.append(c.numerator)
-        return out
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -456,25 +440,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({[str(c) for c in self.coeffs]})"
-
-    def to_text(self, var: str = "t") -> str:
-        """Render like 3t+5t^2+t^3 (ascending powers, unit coefficients dropped)."""
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            cs = format_rational(c)
-            if k == 0:
-                terms.append(cs)
-            else:
-                power = var if k == 1 else f"{var}^{k}"
-                terms.append(power if c == 1 else f"{cs}{power}")
-        return "+".join(terms) if terms else "0"
-
-    def to_json(self) -> list[str]:
-        return [format_rational(c) for c in self.coeffs]
 
 
 def interpolate(points, degree_bound: int) -> Poly:

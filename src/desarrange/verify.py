@@ -104,11 +104,6 @@ def _check(name: str, subject: str, n_min: int, limit: int):
     return register
 
 
-def _counts(row) -> dict:
-    """The nonzero coefficients of a polynomial row of counts, by exponent."""
-    return {k: c for k, c in enumerate(row.int_coeffs()) if c}
-
-
 @_check("table1", "table1-membership", 0, 5)
 def check_table1(rep: VerificationReport, top: int):
     """Recomputed desarrangement listings equal the known length <= 5 tables."""
@@ -121,7 +116,7 @@ def check_table1(rep: VerificationReport, top: int):
 @_check("tables", "statistic-tables", 0, 9)
 def check_statistic_tables(rep: VerificationReport, top: int):
     """Interpolated distribution rows against brute-force counts over D_n."""
-    tables = {tag: formulas.distribution_polynomials(tag, top).rows
+    tables = {tag: formulas.distribution_polynomials(tag, top)
               for tag, (arity, _, klass) in formulas.FORMULAS.items()
               if arity == 1 and klass == "desarrangements"}
     tables["rval"] = formulas.rval_rows(tables["pk"])
@@ -129,8 +124,7 @@ def check_statistic_tables(rep: VerificationReport, top: int):
     for n in range(top + 1):
         joint = oracle.distribution(n, stats, "desarrangements")
         for i, name in enumerate(stats):
-            want = oracle.marginal(joint, i)
-            got = _counts(tables[name][n])
+            got, want = tables[name][n], oracle.marginal(joint, i)
             rep.record(n, got == want, f"{name}: formula {got} vs oracle {want}")
 
 
@@ -307,26 +301,36 @@ _JOINT_VS_BRUTE = (
 )
 
 
+def _substitute(row: dict, var: str, value: int) -> dict:
+    """The one-variable row left when var ("s" or "t") of a joint row is set to value."""
+    at = 0 if var == "s" else 1  # var's slot in the (s_exp, t_exp) keys
+    out = {}
+    for key, c in row.items():
+        out[key[1 - at]] = out.get(key[1 - at], 0) + c * value ** key[at]
+    return {k: out[k] for k in sorted(out) if out[k]}
+
+
 @_check("specializations", "specializations", 0, 8)
 def check_specializations(rep: VerificationReport, top: int):
     """The joint tables specialized against the one-variable tables and
     brute force, and compared with brute force entry by entry, at every n,
     and two series identities at the top."""
-    tables = {tag: formulas.distribution_polynomials(tag, top).rows
+    tables = {tag: formulas.distribution_polynomials(tag, top)
               for tag in ("des", "eulerian", "fix", "joint_pk_des", "joint_pix_des")}
+    text = formulas.row_text
     for n in range(top + 1):
         for tag, var, value, target, shadow in _SPECIALIZATIONS:
-            row = tables[tag][n].substitute(var, value)
-            got, want, left = _counts(row), tables[target][n], "t" if var == "s" else "s"
-            rep.record(n, got == _counts(want), f"{tag} at {var}={value} vs {target}: "
-                                                f"{row.to_text(left)} vs {want.to_text(left)}")
+            got, want = _substitute(tables[tag][n], var, value), tables[target][n]
+            left = "t" if var == "s" else "s"
+            rep.record(n, got == want, f"{tag} at {var}={value} vs {target}: "
+                                       f"{text(got, left)} vs {text(want, left)}")
             if shadow is not None:
                 want = oracle.distribution(n, *shadow)
                 rep.record(n, got == want,
                            f"{tag} at {var}={value} vs brute {shadow[0][0]}: {got} vs {want}")
         for tag, stats, klass in _JOINT_VS_BRUTE:
             want = oracle.distribution(n, stats, klass)
-            rep.record(n, tables[tag][n].entries == want,
+            rep.record(n, tables[tag][n] == want,
                        f"joint {','.join(stats)} vs brute")
 
     order = top + 1

@@ -88,6 +88,12 @@ def derangement_numbers(n_max):
     return d[:n_max + 1]
 
 
+def counts(coeffs) -> dict:
+    """The count map of a coefficient list (constant term first): each
+    nonzero count by its exponent, the shape of a distribution row."""
+    return {k: c for k, c in enumerate(coeffs) if c}
+
+
 FINE_NUMBERS = [0, 1, 0, 1, 2, 6, 18, 57, 186, 622, 2120, 7338]
 JACOBSTHAL_NUMBERS = [0, 1, 1, 3, 5, 11, 21, 43, 85, 171, 341, 683]
 # a_11 by the defining recurrence is 13035 = C_10 - a_10; the printed table

@@ -28,6 +28,10 @@ def run(capsys, *argv):
     (("tables", "5"), "table5.txt"),
     (("tables", "7", "--n-max", "9", "--format", "csv"), "table7.csv"),
     (("tables", "3", "--format", "json"), "table3.json"),
+] + [  # the rest of tables 2..6 in every format, at the default n-max
+    (("tables", str(k), "--format", fmt), f"table{k}.{ext}")
+    for k in range(2, 7) for fmt, ext in (("text", "txt"), ("csv", "csv"), ("json", "json"))
+    if (k, ext) not in ((2, "txt"), (2, "csv"), (5, "txt"), (3, "json"))
 ])
 def test_tables_golden(capsys, args, golden):
     code, out = run(capsys, *args)
@@ -55,6 +59,27 @@ def test_seq_lines(capsys):
     assert code == 2
     code, _ = run(capsys, "seq", "d(99)", "5")
     assert code == 2
+
+
+def test_seq_prints_numbers_of_any_size(capsys):
+    digits = sys.get_int_max_str_digits()
+    code = cli.main(["seq", "derangement", "1700"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == digits  # the lifted limit lasts one call
+    d = 1
+    for n in range(1, 1701):
+        d = n * d + (-1) ** n
+    last = out.strip().rsplit(",", 1)[1]
+    assert len(last) > digits
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(last) == d
+    finally:
+        sys.set_int_max_str_digits(digits)
+    with pytest.raises(SystemExit) as exc:  # arguments keep the limit
+        cli.main(["seq", "derangement", "9" * (digits + 1)])
+    assert exc.value.code == 2
 
 
 def test_runthm_builtin_and_file(capsys):

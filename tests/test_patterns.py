@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from desarrange import patterns, perms, rungraph
@@ -99,6 +101,18 @@ def test_sequences_against_reference():
     assert [sequence("derangement", n) for n in range(12)] == DERANGEMENT_NUMBERS
     with pytest.raises(ValueError):
         sequence("lucas", 3)
+
+
+def test_fine_and_a_seq_match_a_binomial_reference():
+    def c(m):
+        return math.comb(2 * m, m) // (m + 1)
+    f, a = [0, 1], [1]  # C_m = 2 F_(m+1) + F_m and a_(m+1) = C_m - a_m
+    for m in range(1, 200):
+        f.append((c(m) - f[m]) // 2)
+    for m in range(200):
+        a.append(c(m) - a[m])
+    assert [patterns.fine(n) for n in range(201)] == f
+    assert [patterns.a_seq(n) for n in range(201)] == a
 
 
 def test_fine_catalan_identity():
