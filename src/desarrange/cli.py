@@ -23,7 +23,9 @@ import os
 import sys
 from fractions import Fraction
 
-from .perms import CAP_ENV_VAR, CapExceededError, CapSettingError, enumerate_class, perm_to_str
+from .perms import (
+    CAP_ENV_VAR, CapExceededError, CapSettingError, check_cap, enumerate_class, perm_to_str,
+)
 from .series import CORRECTIONS, format_rational
 
 STAT_TABLE_IDS = {2: "des", 3: "pk", 4: "val", 5: "dasc", 6: "ddes"}
@@ -151,6 +153,7 @@ def cmd_runthm(args) -> int:
     series = series + correction
     values = [series.egf_coeff(n) for n in range(args.order + 1)]
     if args.oracle:  # ahead of any output, so an over-cap run prints nothing
+        check_cap(args.order)  # before S_0 .. S_cap are walked in vain
         direct = [rungraph.oracle_weight_sum(spec, args.i, args.j, n, t=args.t, s=args.s)
                   + correction.egf_coeff(n) for n in range(args.order + 1)]
     _emit(",".join(format_rational(v) for v in values))

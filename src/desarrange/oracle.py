@@ -17,10 +17,10 @@ def distribution(n: int, stats, klass: str = "desarrangements", restrict=None):
     """Exact joint counts of the named statistics over a permutation class.
 
     stats is a list of names from STAT_FUNCTIONS.  With one statistic the
-    keys are plain values, otherwise tuples in the order given.  restrict,
-    when present, is a set of length-3 patterns the permutations must avoid.
-    Every statistic depends only on the descent set and the fixed points,
-    as perms.tally requires.
+    keys are plain values, otherwise tuples in the order given; they ascend.
+    restrict, when present, is a set of length-3 patterns to avoid.  Every
+    statistic depends only on the descent set and the fixed points, as
+    perms.tally requires.
     """
     fns = []
     for name in stats:
@@ -32,8 +32,8 @@ def distribution(n: int, stats, klass: str = "desarrangements", restrict=None):
 
 
 def marginal(joint: dict, index: int) -> dict:
-    """Collapse a tuple-keyed joint distribution onto one coordinate."""
+    """Collapse a tuple-keyed joint distribution onto one coordinate; keys ascend."""
     out = Counter()
     for key, c in joint.items():
         out[key[index]] += c
-    return dict(out)
+    return dict(sorted(out.items()))

@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter, namedtuple
+from collections import namedtuple
 
+from .oracle import marginal
 from .perms import (  # pattern_mask is re-exported
     PATTERNS, Perm, class_count, class_predicate, contains_pattern, fix, is_desarrangement,
     pattern_mask, pix, standardize, tally,
@@ -544,13 +545,10 @@ def equidistribution_report(n_max: int = 8) -> EquidistributionReport:
             counts_ok = True
             pixfix_ok = True
             for n in range(n_max + 1):
-                fix_dist = Counter()
-                pix_dist = Counter()
-                for (fx, px), c in tally(n, pats, "all", fix_pix).items():
-                    fix_dist[fx] += c
-                    pix_dist[px] += c
+                joint = tally(n, pats, "all", fix_pix)
+                fix_dist, pix_dist = marginal(joint, 0), marginal(joint, 1)
                 # derangements have no fixed point, desarrangements no pixed point
-                if fix_dist[0] != pix_dist[0]:
+                if fix_dist.get(0) != pix_dist.get(0):
                     counts_ok = False
                 if fix_dist != pix_dist:
                     pixfix_ok = False

@@ -16,7 +16,6 @@ import functools
 import itertools
 import os
 from collections import Counter, defaultdict, namedtuple
-from operator import itemgetter
 from types import MappingProxyType
 
 Perm = tuple[int, ...]
@@ -369,6 +368,8 @@ def _walk(n: int, track: int, forbid: int, klass: str, visit):
     state runs the walk below it, from zeroed mask, descent word and fix
     count, to record its tails.
     """
+    class_predicate(klass)  # rejects an unknown class
+    check_cap(n)
     full = (1 << (n + 1)) - 2  # bits 1..n, one per value
     derange = klass == "derangements"
     desarr = klass == "desarrangements"
@@ -509,26 +510,22 @@ def tally(n: int, patterns, klass: str, value) -> dict:
     Contract: value(p) may depend only on the descent set of p and its
     number of fixed points, as every statistic in STAT_FUNCTIONS,
     descent_composition, is_desarrangement, is_derangement and pix do.
-    Up to CENSUS_MAX, tally merges the census groups whose mask misses the
-    forbidden set by (descent word, fix); above it, it walks only the class
-    members that avoid the patterns (all of them for the empty set), which
-    come as the one group.  value is evaluated once per (descent word, fix),
-    on its first member.  Keys come in the lexicographic order of their
-    first permutation.  Lengths above the enumeration cap raise
-    CapExceededError.
+    Class membership depends on them too, so any member of a (descent
+    word, fix) group stands for all of it.  Up to CENSUS_MAX, tally merges
+    the census groups whose mask misses the forbidden set by (descent word,
+    fix); above it, it walks only the class members that avoid the patterns
+    (all of them for the empty set), which come as the one group.  value is
+    evaluated once per group, on one member.  Keys ascend.  Lengths above
+    the enumeration cap raise CapExceededError.
 
     >>> tally(4, (), "desarrangements", des)
     {1: 3, 2: 5, 3: 1}
     >>> tally(5, {(1, 2, 3), (1, 3, 2)}, "all", fix)
-    {1: 6, 0: 10}
+    {0: 10, 1: 6}
     """
     forbid = pattern_mask(patterns)
     member = class_predicate(klass)
-    if n <= CENSUS_MAX:
-        keyed = census(n)
-    else:
-        check_cap(n)
-        keyed = _keyed(n, forbid, klass)
+    keyed = census(n) if n <= CENSUS_MAX else _keyed(n, forbid, klass)
     groups = {}
     for mask, group in keyed.items():
         if not mask & forbid:
@@ -538,13 +535,11 @@ def tally(n: int, patterns, klass: str, value) -> dict:
                     groups[key] = [count, p]
                 else:
                     entry[0] += count
-                    if p < entry[1]:  # the first member among the masks read
-                        entry[1] = p
     out = Counter()
-    for count, p in sorted(groups.values(), key=itemgetter(1)):
+    for count, p in groups.values():
         if member(p):
             out[value(p)] += count
-    return dict(out)
+    return dict(sorted(out.items()))
 
 
 def class_count(n: int, patterns, klass: str) -> int:
@@ -566,8 +561,6 @@ def avoiders(n: int, patterns, klass: str = "all") -> list[Perm]:
     [(3, 2, 4, 1), (4, 2, 3, 1), (4, 3, 2, 1)]
     """
     forbid = pattern_mask(patterns)
-    class_predicate(klass)  # rejects an unknown class
-    check_cap(n)
     out = []
 
     def visit(prefix, mask, dw, fx, tails):

@@ -110,6 +110,20 @@ def test_runthm_order_beyond_enumeration_cap(capsys):
     assert out.strip() == ",".join(str(d) for d in derangement_numbers(25))
 
 
+def test_runthm_oracle_over_the_cap_fails_before_it_walks():
+    # order 12 is above the default cap 11, so the error must come before
+    # the direct values walk S_0..S_11 (about 19 s, past the timeout)
+    env = {k: v for k, v in os.environ.items() if k != "DESARRANGE_CAP"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "desarrange", "runthm", "fig2", "-i", "1",
+                           "-j", "2", "-t", "2", "--order", "12", "--oracle"],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == ("error: n=12 exceeds enumeration cap 11; "
+                           "raise the cap with --cap-override\n")
+
+
 def test_runthm_errors(capsys, tmp_path):
     code, _ = run(capsys, "runthm", "nonexistent.json", "-i", "1", "-j", "2")
     assert code == 2
@@ -221,27 +235,46 @@ def test_a_fresh_process_loads_only_the_layers_it_runs(argv, runs):
     assert not has_dataclasses
 
 
-_TRACED_SEQ = """
-import json, sys
+_TRACED = """
+import contextlib, io, json, sys
 sys.path[:0] = [{src!r}, {perfbench!r}]
 from tracer import LAYERS, Tracer
 tracer = Tracer()
 tracer.install()
 from desarrange import cli
-code = cli.main(["seq", "catalan", "5"])
-print(json.dumps([code, list(LAYERS), sorted(tracer.summary()["self_s"])]))
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main({argv!r})
+summary = tracer.summary()
+print(json.dumps([code, out.getvalue(), list(LAYERS), sorted(summary["self_s"]),
+                  {{key: span["calls"] for key, span in summary["spans"].items()}}]))
 """
+
+
+def _traced(argv):
+    """Exit code, stdout, layers, traced layers and span calls of one run
+    under perfbench/tracer.py, in a fresh process."""
+    code = _TRACED.format(src=str(SRC), perfbench=str(SRC.parent / "perfbench"), argv=argv)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    return json.loads(out.splitlines()[-1])
 
 
 def test_the_benchmark_tracer_still_installs():
     # perfbench/tracer.py reads methods such as TruncSeries.sqrt straight off
     # the classes, so removing one breaks only traced benchmark runs
-    code = _TRACED_SEQ.format(src=str(SRC), perfbench=str(SRC.parent / "perfbench"))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True).stdout
-    exit_code, layers, traced = json.loads(out.splitlines()[-1])
+    exit_code, _, layers, traced, _ = _traced(["seq", "catalan", "5"])
     assert exit_code == 0
     assert traced == sorted(layers)
+
+
+def test_the_tracer_leaves_the_conjecture_report_unchanged(capsys):
+    # patterns binds oracle.marginal by name, and the tracer rebinds every
+    # wrapped name in every layer module: the report must not change, and
+    # each of its marginals (fix and pix, 41 sets, n = 0..5) is a span
+    argv = ["conjecture", "--n-max", "5"]
+    exit_code, out, _, _, calls = _traced(argv)
+    assert (exit_code, out) == run(capsys, *argv)
+    assert calls["oracle.marginal"] == 2 * 41 * 6
 
 
 def _fig2_json():

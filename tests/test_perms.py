@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from desarrange import perms
+from desarrange.oracle import marginal
 from desarrange.perms import (
     CapExceededError, InvariantError, complement, descent_composition,
     enumerate_class, first_ascent, is_derangement, is_desarrangement,
@@ -325,15 +326,15 @@ TALLY_VALUES = {
     "descent_composition": descent_composition,
     "constant": lambda p: None,
 }
+TALLY_SETS = [(), ((3, 2, 1),), ((1, 3, 2), (2, 1, 3)), ((1, 2, 3), (2, 3, 1), (3, 1, 2))]
+TALLY_CASES = list(itertools.product(range(8), TALLY_SETS, perms.CLASSES, TALLY_VALUES))
 
 
 def test_tally_walk_matches_the_census(monkeypatch):
     # with CENSUS_MAX lowered to 4, lengths 5..7 take the walk, which for
     # the empty set covers every member of the class; tally never streams
-    sets = [(), ((3, 2, 1),), ((1, 3, 2), (2, 1, 3)), ((1, 2, 3), (2, 3, 1), (3, 1, 2))]
-    cases = list(itertools.product(range(8), sets, perms.CLASSES, TALLY_VALUES))
     want = {case: perms.tally(case[0], case[1], case[2], TALLY_VALUES[case[3]])
-            for case in cases}
+            for case in TALLY_CASES}
     built = perms.census.cache_info().misses
     monkeypatch.setattr(perms, "CENSUS_MAX", 4)
 
@@ -341,7 +342,21 @@ def test_tally_walk_matches_the_census(monkeypatch):
         raise AssertionError("tally streamed enumerate_class")
 
     monkeypatch.setattr(perms, "enumerate_class", no_stream)
-    for case in cases:
+    for case in TALLY_CASES:
         n, pats, klass, name = case
         assert perms.tally(n, pats, klass, TALLY_VALUES[name]) == want[case], case
     assert perms.census.cache_info().misses == built  # no census above the patched limit
+
+
+def test_tally_rows_have_ascending_keys_on_both_paths(monkeypatch):
+    # the row shape of the formula side: keys ascend, on the census path and
+    # on the walk (CENSUS_MAX lowered to 4) alike, and so do the marginals
+    rows = {case: perms.tally(*case[:3], TALLY_VALUES[case[3]]) for case in TALLY_CASES}
+    monkeypatch.setattr(perms, "CENSUS_MAX", 4)
+    for case, row in rows.items():
+        assert list(row) == sorted(row), case
+        walked = perms.tally(*case[:3], TALLY_VALUES[case[3]])
+        assert list(walked.items()) == list(row.items()), case
+        if case[3] == "pk,des":
+            for index in (0, 1):
+                assert list(marginal(row, index)) == sorted(marginal(row, index)), case
