@@ -318,7 +318,7 @@ def distribution_polynomials(tag: str, n_max: int) -> dict:
         raise ValueError(f"{tag} carries no statistic variable")
     bits = factorial(n_max).bit_length() + 1
     s = 2 ** bits if arity == 2 else None
-    points = good_t_points(tag, n_max + 2, n_max + 1, s=s)
+    points = good_t_points(tag, n_max + 2, n_max, s=s)
     rows = {n: row if s is None else _unpacked(row, n, bits)
             for n, row in enumerate(_sampled_rows(points, n_max))}
     return _row_sums_checked(tag, rows)

@@ -9,7 +9,6 @@ canonical listing order is 123, 132, 213, 231, 312, 321.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from collections import namedtuple
 
@@ -67,60 +66,23 @@ def count_class(n: int, patterns, klass: str = "desarrangements") -> int:
 
 
 # --- classical sequences (indexing pinned to the tables in use) ---
+#
+# Each row is (terms, rule): terms starts as the sequence's first terms, and
+# rule(m, terms) gives term m from the terms before it.  sequence() extends
+# the list in place, so each term is computed once per process.
 
-def catalan(n: int) -> int:
-    return math.comb(2 * n, n) // (n + 1)
-
-
-def fine(n: int) -> int:
-    """Fine numbers with F_0 = 0, F_1 = 1, F_2 = 0, ... via C_m = 2F_{m+1} + F_m,
-    carrying C_m along by C_{m+1} = C_m * 2(2m+1) / (m+2)."""
-    if n == 0:
-        return 0
-    f, c = 1, 1  # F_1, C_1
-    for m in range(1, n):
-        f = (c - f) // 2
-        c = c * 2 * (2 * m + 1) // (m + 2)
-    return f
-
-
-def jacobsthal(n: int) -> int:
-    a, b = 0, 1  # J_0, J_1
-    for _ in range(n):
-        a, b = b, b + 2 * a
-    return a
-
-
-def fibonacci(n: int) -> int:
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
-
-
-def a_seq(n: int) -> int:
-    """a_0 = 1 and a_{m+1} = C_m - a_m, carrying C_m along as fine does.
-
-    The recurrence gives a_11 = 13035; a printed table elsewhere repeats
-    3761 at index 11, which the recurrence (and brute force over the
-    213-avoiding desarrangements of length 11) contradicts.
-    """
-    a, c = 1, 1  # a_0, C_0
-    for m in range(n):
-        a = c - a
-        c = c * 2 * (2 * m + 1) // (m + 2)
-    return a
-
-
-def derangement(n: int) -> int:
-    d = 1
-    for m in range(1, n + 1):
-        d = m * d + (-1) ** m
-    return d
-
-
-SEQUENCES = {"catalan": catalan, "fine": fine, "jacobsthal": jacobsthal,
-             "fibonacci": fibonacci, "a_seq": a_seq, "derangement": derangement}
+SEQUENCES = {
+    "catalan": ([1], lambda m, c: c[m - 1] * 2 * (2 * m - 1) // (m + 1)),
+    # F_0 = 0, F_1 = 1, F_2 = 0, ... by C_m = 2 F_(m+1) + F_m
+    "fine": ([0, 1], lambda m, f: (sequence("catalan", m - 1) - f[m - 1]) // 2),
+    "jacobsthal": ([0, 1], lambda m, j: j[m - 1] + 2 * j[m - 2]),
+    "fibonacci": ([0, 1], lambda m, f: f[m - 1] + f[m - 2]),
+    # a_(m+1) = C_m - a_m gives a_11 = 13035; a printed table elsewhere
+    # repeats 3761 at index 11, which the recurrence (and brute force over
+    # the 213-avoiding desarrangements of length 11) contradicts
+    "a_seq": ([1], lambda m, a: sequence("catalan", m - 1) - a[m - 1]),
+    "derangement": ([1], lambda m, d: m * d[m - 1] + (-1) ** m),
+}
 SEQUENCE_IDS = tuple(SEQUENCES)
 
 
@@ -129,7 +91,10 @@ def sequence(tag: str, n: int) -> int:
         raise ValueError("sequence index must be non-negative")
     if tag not in SEQUENCES:
         raise ValueError(f"unknown sequence {tag!r}; have {SEQUENCE_IDS}")
-    return SEQUENCES[tag](n)
+    terms, rule = SEQUENCES[tag]
+    while len(terms) <= n:
+        terms.append(rule(len(terms), terms))
+    return terms[n]
 
 
 # --- closed-form counts for all 64 pattern subsets ---
@@ -141,23 +106,23 @@ def sequence(tag: str, n: int) -> int:
 # values were computed by brute force once and are frozen here.
 
 _EXPLICIT_FORMULAS = {
-    frozenset(): derangement,
-    frozenset({P123}): lambda n: fine(n + 1),
-    frozenset({P132}): lambda n: fine(n + 1),
-    frozenset({P231}): lambda n: fine(n + 1),
-    frozenset({P213}): a_seq,
-    frozenset({P312}): a_seq,
-    frozenset({P321}): lambda n: catalan(n - 1),
+    frozenset(): lambda n: sequence("derangement", n),
+    frozenset({P123}): lambda n: sequence("fine", n + 1),
+    frozenset({P132}): lambda n: sequence("fine", n + 1),
+    frozenset({P231}): lambda n: sequence("fine", n + 1),
+    frozenset({P213}): lambda n: sequence("a_seq", n),
+    frozenset({P312}): lambda n: sequence("a_seq", n),
+    frozenset({P321}): lambda n: sequence("catalan", n - 1),
     frozenset({P132, P321}): lambda n: n - 1,
     frozenset({P132, P231, P321}): lambda n: n - 1,
     frozenset({P132, P231}): lambda n: 2 ** (n - 2),
     frozenset({P231, P321}): lambda n: 2 ** (n - 2),
     frozenset({P312, P321}): lambda n: 2 ** (n - 3),
-    frozenset({P123, P213}): lambda n: jacobsthal(n - 1),
-    frozenset({P132, P213}): lambda n: jacobsthal(n - 1),
-    frozenset({P213, P231}): lambda n: jacobsthal(n - 1),
-    frozenset({P132, P312}): lambda n: jacobsthal(n - 1),
-    frozenset({P231, P312}): lambda n: jacobsthal(n - 1),
+    frozenset({P123, P213}): lambda n: sequence("jacobsthal", n - 1),
+    frozenset({P132, P213}): lambda n: sequence("jacobsthal", n - 1),
+    frozenset({P213, P231}): lambda n: sequence("jacobsthal", n - 1),
+    frozenset({P132, P312}): lambda n: sequence("jacobsthal", n - 1),
+    frozenset({P231, P312}): lambda n: sequence("jacobsthal", n - 1),
     frozenset({P123, P132}): lambda n: (2 ** (n + 1) + (7 - 3 * n) * (-1) ** n) // 9,
     frozenset({P123, P231}): lambda n: (2 * n * (n - 1) + (5 - 2 * n) * (-1) ** n + 3) // 8,
     frozenset({P123, P312}): lambda n: ((n - 1) ** 2 + 3) // 4,  # ceil((n-1)^2 / 4)
@@ -167,8 +132,8 @@ _EXPLICIT_FORMULAS = {
     frozenset({P123, P213, P231}): lambda n: n // 2,
     frozenset({P132, P213, P231}): lambda n: n // 2,
     frozenset({P132, P231, P312}): lambda n: n // 2,
-    frozenset({P123, P132, P213}): lambda n: fibonacci(n - 1),
-    frozenset({P231, P312, P321}): lambda n: fibonacci(n - 1),
+    frozenset({P123, P132, P213}): lambda n: sequence("fibonacci", n - 1),
+    frozenset({P231, P312, P321}): lambda n: sequence("fibonacci", n - 1),
     # one element for every n >= 3: the decreasing permutation when n is
     # even, and n(n-1)...312 resp. (n-1)...21n when n is odd
     frozenset({P123, P132, P231, P213}): lambda n: 1,

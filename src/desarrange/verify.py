@@ -277,7 +277,7 @@ def check_bijections(rep: VerificationReport, top: int):
             ok, msg = _bijection_ok(b, n)
             rep.record(n, ok, f"{b.name}: {msg}")
         # cardinality recurrences behind the prepend maps
-        c_n = patterns.catalan(n)
+        c_n = patterns.sequence("catalan", n)
         for sigma_name, sigma in (("213", patterns.P213), ("312", patterns.P312)):
             d_n = patterns.count_class(n, {sigma}, "desarrangements")
             d_n1 = patterns.count_class(n + 1, {sigma}, "desarrangements")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -108,6 +109,19 @@ def test_runthm_order_beyond_enumeration_cap(capsys):
                     "--correction", "cosh", "--order", "25")
     assert code == 0
     assert out.strip() == ",".join(str(d) for d in derangement_numbers(25))
+
+
+def test_seq_is_one_pass():
+    # each term is computed once: quadratic code takes several seconds here
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "desarrange", "seq", "d(123)", "3000"],
+                          capture_output=True, text=True, env=env, timeout=3)
+    assert (done.returncode, done.stderr) == (0, "")
+    f = [0, 1]  # Fine numbers by C_m = 2 F_(m+1) + F_m
+    for m in range(1, 3001):
+        f.append((math.comb(2 * m, m) // (m + 1) - f[m]) // 2)
+    assert int(done.stdout.rsplit(",", 1)[1]) == f[3001]
 
 
 def test_runthm_oracle_over_the_cap_fails_before_it_walks():
@@ -259,12 +273,18 @@ def _traced(argv):
     return json.loads(out.splitlines()[-1])
 
 
-def test_the_benchmark_tracer_still_installs():
+def test_the_benchmark_tracer_still_installs(capsys):
     # perfbench/tracer.py reads methods such as TruncSeries.sqrt straight off
     # the classes, so removing one breaks only traced benchmark runs
     exit_code, _, layers, traced, _ = _traced(["seq", "catalan", "5"])
     assert exit_code == 0
     assert traced == sorted(layers)
+    # the Fine rule calls the wrapped sequence("catalan", ...) inside a span:
+    # F_4 .. F_13 for n = 3..12, and C_1 .. C_12 for the rule
+    argv = ["seq", "d(123)", "12"]
+    exit_code, out, _, _, calls = _traced(argv)
+    assert (exit_code, out) == run(capsys, *argv)
+    assert calls["patterns.sequence"] == 10 + 12
 
 
 def test_the_tracer_leaves_the_conjecture_report_unchanged(capsys):

@@ -7,7 +7,7 @@ from desarrange.formulas import (
     PoleError, distribution_polynomials, evaluate_formula,
     fix_egf, good_t_points, peak_egf, right_valley_egf, row_text, rval_rows,
 )
-from desarrange.patterns import catalan, fine, jacobsthal
+from desarrange.patterns import sequence
 from desarrange.series import exp_series
 from desarrange.verify import _substitute
 
@@ -69,13 +69,14 @@ def test_rval_rows():
 
 def test_ogf_formulas_match_sequences():
     cat = evaluate_formula("catalan_ogf", order=10)
-    assert [int(c) for c in cat.coeffs] == [catalan(n) for n in range(11)]
+    assert [int(c) for c in cat.coeffs] == [sequence("catalan", n) for n in range(11)]
     f = evaluate_formula("fine_ogf", order=11)
-    assert [int(c) for c in f.coeffs] == [fine(n) for n in range(12)]
+    assert [int(c) for c in f.coeffs] == [sequence("fine", n) for n in range(12)]
     fs = evaluate_formula("fine_shifted_ogf", order=10)
-    assert [int(c) for c in fs.coeffs] == [fine(n + 1) for n in range(11)]
+    assert [int(c) for c in fs.coeffs] == [sequence("fine", n + 1) for n in range(11)]
     js = evaluate_formula("jacobsthal_shifted_ogf", order=11)
-    assert [int(c) for c in js.coeffs] == [1] + [jacobsthal(n - 1) for n in range(1, 12)]
+    assert [int(c) for c in js.coeffs] == [1] + [sequence("jacobsthal", n - 1)
+                                                for n in range(1, 12)]
 
 
 def test_joint_tables_small_rows():

@@ -77,6 +77,21 @@ def _record(b, **fields):
 DES_OVER_T = _formula("des", lambda f, t, o: f(t, o) / t)
 
 
+def _sequence_rule(tag, wrap):
+    """SEQUENCES[tag] with rule wrap(the real rule, m, terms).  The Fine and
+    a_seq rules read Catalan terms, so every row restarts from a copy of its
+    first two terms and no term the patched table computes outlives it."""
+    def patch(mp):
+        for name, (terms, rule) in patterns.SEQUENCES.items():
+            if name == tag:
+                rule = functools.partial(wrap, rule)
+            mp.setitem(patterns.SEQUENCES, name, (terms[:2], rule))
+    return patch
+
+
+CATALAN_PLUS_ONE = _sequence_rule("catalan", lambda rule, m, c: rule(m, c) + (m == 6))
+
+
 def _fail(subject, top, n, note, low=0):
     return f"FAIL {subject} (n={low}..{top})\n    n={n}: mismatch({note}"
 
@@ -182,6 +197,8 @@ MUTANTS = [
     ("walker-memo-key-without-ascent-flag",
      _walker("key = (used | bit, c, d)", "key = (used | bit, c)"), "bijections", 7,
      _fail(_BIJ, 7, 7, "213_prepend: 329 images of length 8, class has 339)")),
+    ("catalan-rule+1-at-6", CATALAN_PLUS_ONE, "bijections", 8,
+     _fail(_BIJ, 8, 6, "C_6 != d_6(213) + d_7(213)")),
     ("321_insert-on-Av(123)", _record(_AV["321_insert"], domain=patterns._av("123")),
      "bijections", 5, _fail(_BIJ, 5, 3, "321_insert: " + _OUT.format((4, 1, 3, 2)))
      + "\n    n=4: mismatch(321_insert: " + _OUT.format((2, 1, 5, 4, 3)) + "\n    n=5: mismatch("
@@ -233,6 +250,16 @@ def test_verify_catches_the_mutant(monkeypatch, capsys, row):
 def test_every_check_has_a_mutant():
     rows = MUTANTS + BRUTE_SIDE_ERRORS + BROKEN_BIJECTIONS
     assert {row[2] for row in rows} == set(verify.CHECKS)
+
+
+def test_a_sequence_mutant_leaves_no_wrong_term():
+    with pytest.MonkeyPatch.context() as mp:
+        CATALAN_PLUS_ONE(mp)
+        # the wrong C_6 carries into every later C_m, which Fine and a_seq read
+        assert [patterns.sequence(tag, n) for tag, n in (
+            ("catalan", 6), ("a_seq", 11), ("fine", 11))] == [133, 13126, 7389]
+    assert [patterns.sequence(tag, n) for tag, n in (
+        ("catalan", 6), ("a_seq", 11), ("fine", 11))] == [132, 13035, 7338]
 
 
 def test_a_new_bijection_needs_only_its_record(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -103,16 +104,60 @@ def test_sequences_against_reference():
         sequence("lucas", 3)
 
 
-def test_fine_and_a_seq_match_a_binomial_reference():
+def test_fine_and_a_seq_match_a_binomial_reference(monkeypatch):
+    # every row of the table against a formula of its own, for n <= 300
+    top = 300
+
     def c(m):
         return math.comb(2 * m, m) // (m + 1)
+
+    def fib(n):  # fast doubling: (F_n, F_(n+1))
+        if n == 0:
+            return 0, 1
+        x, y = fib(n // 2)
+        x, y = x * (2 * y - x), x * x + y * y
+        return (y, x + y) if n % 2 else (x, y)
+
     f, a = [0, 1], [1]  # C_m = 2 F_(m+1) + F_m and a_(m+1) = C_m - a_m
-    for m in range(1, 200):
+    for m in range(1, top):
         f.append((c(m) - f[m]) // 2)
-    for m in range(200):
+    for m in range(top):
         a.append(c(m) - a[m])
-    assert [patterns.fine(n) for n in range(201)] == f
-    assert [patterns.a_seq(n) for n in range(201)] == a
+    reference = {
+        "catalan": [c(n) for n in range(top + 1)],
+        "fine": f,
+        "jacobsthal": [(2 ** n - (-1) ** n) // 3 for n in range(top + 1)],
+        "fibonacci": [fib(n)[0] for n in range(top + 1)],
+        "a_seq": a,
+        "derangement": [sum((-1) ** k * math.factorial(n) // math.factorial(k)
+                            for k in range(n + 1)) for n in range(top + 1)],
+    }
+    assert tuple(reference) == patterns.SEQUENCE_IDS
+    rows = dict(patterns.SEQUENCES)
+
+    def restart(**first):
+        """Every row back to its first two terms (or the given ones)."""
+        for tag, (terms, rule) in rows.items():
+            monkeypatch.setitem(patterns.SEQUENCES, tag, (first.get(tag, terms[:2]), rule))
+
+    restart()
+    for tag, want in reference.items():
+        assert [sequence(tag, n) for n in range(top + 1)] == want, tag
+    # a repeated call reads the list and computes nothing new
+    for tag, (terms, _) in list(patterns.SEQUENCES.items()):
+        monkeypatch.setitem(patterns.SEQUENCES, tag, (terms, None))
+    for tag, want in reference.items():
+        assert [sequence(tag, n) for n in range(top + 1)] == want, tag
+    # Fine before any Catalan term past C_0: the rule pulls the C_m it reads
+    restart(catalan=[1])
+    assert sequence("fine", top) == f[top]
+    assert patterns.SEQUENCES["fine"][0] == f
+    assert patterns.SEQUENCES["catalan"][0] == reference["catalan"][:top]
+    with pytest.raises(ValueError, match="^sequence index must be non-negative$"):
+        sequence("fine", -1)
+    with pytest.raises(ValueError, match=re.escape(
+            f"unknown sequence 'lucas'; have {patterns.SEQUENCE_IDS}")):
+        sequence("lucas", 3)
 
 
 def test_fine_catalan_identity():
