@@ -175,14 +175,16 @@ def cmd_seq(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        values = [patterns.closed_form_count(n, pats) for n in range(args.n_max + 1)]
+        values = (patterns.closed_form_count(n, pats) for n in range(args.n_max + 1))
     elif name in patterns.SEQUENCE_IDS:
-        values = [patterns.sequence(name, n) for n in range(args.n_max + 1)]
+        values = (patterns.sequence(name, n) for n in range(args.n_max + 1))
     else:
         print(f"error: unknown sequence {name!r}; have {patterns.SEQUENCE_IDS} "
               "or d(<patterns>)", file=sys.stderr)
         return 2
-    _emit(",".join(str(v) for v in values))
+    for n, v in enumerate(values):  # each term is written as soon as it is computed
+        sys.stdout.write(f",{v}" if n else str(v))
+    sys.stdout.write("\n")
     return 0
 
 

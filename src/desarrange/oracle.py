@@ -13,13 +13,12 @@ from collections import Counter
 from .perms import STAT_FUNCTIONS, tally
 
 
-def distribution(n: int, stats, klass: str = "desarrangements", restrict=None):
+def distribution(n: int, stats, klass: str = "desarrangements"):
     """Exact joint counts of the named statistics over a permutation class.
 
     stats is a list of names from STAT_FUNCTIONS.  With one statistic the
     keys are plain values, otherwise tuples in the order given; they ascend.
-    restrict, when present, is a set of length-3 patterns to avoid.  Every
-    statistic depends only on the descent set and the fixed points, as
+    Every statistic depends only on the descent set and the fixed points, as
     perms.tally requires.
     """
     fns = []
@@ -28,7 +27,7 @@ def distribution(n: int, stats, klass: str = "desarrangements", restrict=None):
             raise ValueError(f"unknown statistic {name!r}")
         fns.append(STAT_FUNCTIONS[name])
     value = fns[0] if len(fns) == 1 else lambda p: tuple(f(p) for f in fns)
-    return tally(n, restrict or (), klass, value)
+    return tally(n, (), klass, value)
 
 
 def marginal(joint: dict, index: int) -> dict:

@@ -88,20 +88,15 @@ class Edge(namedtuple("Edge", "src dst cases")):
         _check_cases(self)
         return self
 
-    def admits(self, k: int) -> bool:
-        return any(k in case.guard for case in self.cases)
-
     def exponents(self, k: int) -> tuple[int, int] | None:
-        """(t-exponent, s-exponent) of part k, or None when k is not an admissible part here."""
+        """(t-exponent, s-exponent) of part k, or None when k is not an admissible part here.
+
+        The one statement of the part rule: the weight of part k is
+        t^(t-exponent) * s^(s-exponent)."""
         for case in self.cases:
             if k in case.guard:
                 return case.exponents(k)
         return None
-
-    def weight(self, k: int, t: Fraction, s: Fraction) -> Fraction | None:
-        """Weight of part k, or None when k is not an admissible part here."""
-        ex = self.exponents(k)
-        return None if ex is None else Fraction(t) ** ex[0] * Fraction(s) ** ex[1]
 
 
 class RunGraphSpec(namedtuple("RunGraphSpec", "name dim edges")):
@@ -203,19 +198,6 @@ def _path_exponents(spec: RunGraphSpec, i: int, j: int, parts) -> tuple[int, int
     return ex
 
 
-def composition_weight(spec: RunGraphSpec, i: int, j: int, composition,
-                       t=1, s=1) -> Fraction:
-    """Weight of the unique (i,j)-admissible path realizing the composition, else 0.
-
-    Raises HypothesisViolationError when the composition is admissible along
-    more than one path from i to j.
-    """
-    ex = _path_exponents(spec, i, j, tuple(composition))
-    if ex is None:
-        return Fraction(0)
-    return Fraction(t) ** ex[0] * Fraction(s) ** ex[1]
-
-
 class AdmissibilityReport(namedtuple("AdmissibilityReport", "ok max_size violation")):
     """violation is (composition, i, j) for the first ambiguous composition, else None."""
     __slots__ = ()
@@ -253,7 +235,7 @@ def validate_unique_admissibility(spec: RunGraphSpec, max_size: int) -> Admissib
     """
     # moves[k][u]: the ends of the edges out of u whose guards admit part k
     moves = [None] + [
-        {u: [e.dst for e in spec.edges_from(u) if e.admits(k)]
+        {u: [e.dst for e in spec.edges_from(u) if e.exponents(k) is not None]
          for u in range(1, spec.dim + 1)}
         for k in range(1, max_size + 1)]
     reach = [{(i, i, False) for i in range(1, spec.dim + 1)}]  # by total size
@@ -300,18 +282,15 @@ def _first_violating_composition(spec: RunGraphSpec, moves, total: int) -> tuple
 def weight_series_matrix(spec: RunGraphSpec, t, s, order: int) -> SeriesMatrix:
     """B = I_m + [sum_k w_k^(u,v) x^k] truncated at the given order."""
     t, s = Fraction(t), Fraction(s)
-    rows = []
-    for u in range(1, spec.dim + 1):
-        row = []
-        for v in range(1, spec.dim + 1):
-            coeffs = [Fraction(1 if u == v else 0)]
-            edge = next((e for e in spec.edges if e.src == u and e.dst == v), None)
-            for k in range(1, order + 1):
-                wk = edge.weight(k, t, s) if edge is not None else None
-                coeffs.append(wk if wk is not None else Fraction(0))
-            row.append(TruncSeries(coeffs, order))
-        rows.append(row)
-    return SeriesMatrix(rows)
+    coeffs = [[[Fraction(u == v)] + [Fraction(0)] * order for v in range(spec.dim)]
+              for u in range(spec.dim)]
+    for e in spec.edges:
+        entry = coeffs[e.src - 1][e.dst - 1]
+        for k in range(1, order + 1):
+            ex = e.exponents(k)
+            if ex is not None:
+                entry[k] = t ** ex[0] * s ** ex[1]
+    return SeriesMatrix([[TruncSeries(c, order) for c in row] for row in coeffs])
 
 
 def run_theorem_egf(spec: RunGraphSpec, i: int, j: int, t=1, s=1,
@@ -340,12 +319,12 @@ def descent_composition_counts(n: int) -> dict[tuple[int, ...], int]:
 
 
 def oracle_weight_sum(spec: RunGraphSpec, i: int, j: int, n: int, t=1, s=1) -> Fraction:
-    """Sum of composition_weight over the descent compositions of all of S_n.
+    """Sum over S_n of the weight of each descent composition's (i,j)-admissible path.
 
     Independent of the matrix pipeline; must equal n! times the x^n
     coefficient of run_theorem_egf.  A composition's weight is t^a * s^b
-    for the exponents (a, b) of its one path, so S_n is grouped by (a, b)
-    once per (n, spec, i, j) and only the groups see t and s.
+    for the exponents (a, b) of its one path, and 0 without one, so S_n is
+    grouped by (a, b) once per (n, spec, i, j) and only the groups see t and s.
     """
     t, s = Fraction(t), Fraction(s)
     total = Fraction(0)

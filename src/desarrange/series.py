@@ -18,7 +18,7 @@ interpolate_rows fits many rows of values on one shared set of nodes: it
 computes the integer weights of every divided difference once, and then
 each row costs O(m^2) integer operations for m nodes.  Points beyond a
 row's degree bound are its check: every divided difference above the
-bound must vanish.  interpolate is its one-row case.
+bound must vanish.
 
 CORRECTIONS names the series a run-theorem worked example adds to its
 entry; runthm --correction and verify both read it here.
@@ -123,10 +123,6 @@ class TruncSeries:
     def one(cls, order: int) -> "TruncSeries":
         return cls.constant(1, order)
 
-    @classmethod
-    def x(cls, order: int) -> "TruncSeries":
-        return cls([0, 1], order)
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients of x^0 .. x^order, derived on first use."""
@@ -138,15 +134,9 @@ class TruncSeries:
             self._coeffs = tuple(out)
         return self._coeffs
 
-    def coeff(self, n: int) -> Fraction:
-        return self.coeffs[n]
-
     def egf_coeff(self, n: int) -> Fraction:
         """n! times the coefficient of x^n."""
         return Fraction(self._num[n], self._den)
-
-    def egf_coeffs(self) -> list[Fraction]:
-        return [Fraction(v, self._den) for v in self._num]
 
     def _check_order(self, other: "TruncSeries"):
         if self.order != other.order:
@@ -345,11 +335,6 @@ class SeriesMatrix:
         self.order = orders.pop()
         self.entries = entries
 
-    @classmethod
-    def identity(cls, dim: int, order: int) -> "SeriesMatrix":
-        return cls([[TruncSeries.constant(1 if i == j else 0, order)
-                     for j in range(dim)] for i in range(dim)])
-
     def entry(self, i: int, j: int) -> TruncSeries:
         """1-based entry access."""
         return self.entries[i - 1][j - 1]
@@ -440,17 +425,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({[str(c) for c in self.coeffs]})"
-
-
-def interpolate(points, degree_bound: int) -> Poly:
-    """The unique polynomial of degree <= degree_bound through the points.
-
-    Takes (x, y) pairs with exact rational entries.  Needs at least
-    degree_bound+1 points with distinct abscissae; any extra points must be
-    consistent with the interpolant, otherwise InterpolationError is raised.
-    """
-    pts = [(_as_fraction(x), _as_fraction(y)) for x, y in points]
-    return next(interpolate_rows([x for x, _ in pts], [[y for _, y in pts]], [degree_bound]))
 
 
 def interpolate_rows(xs, rows, bounds):

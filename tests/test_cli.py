@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -124,6 +125,36 @@ def test_seq_is_one_pass():
     assert int(done.stdout.rsplit(",", 1)[1]) == f[3001]
 
 
+_PEAK = """
+import sys
+sys.path.insert(0, {src!r})
+from desarrange import cli
+code = cli.main({argv!r})
+sys.stdout.flush()
+with open("/proc/self/status") as fh:
+    peak_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(code, peak_kb, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_seq_writes_each_term_as_it_goes():
+    # the child's own peak resident set (ru_maxrss would count this process
+    # too): holding every term as an int, then as a string, then the joined
+    # line took about 60 MB
+    code = _PEAK.format(src=str(SRC), argv=["seq", "fibonacci", "10000"])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30)
+    exit_code, peak_kb = map(int, done.stderr.split())
+    assert exit_code == 0 and done.returncode == 0
+    assert peak_kb < 40 * 1024
+    f = [0, 1]
+    for _ in range(9999):
+        f.append(f[-1] + f[-2])
+    assert done.stdout.endswith("\n") and done.stdout.count("\n") == 1
+    assert int(done.stdout.rsplit(",", 1)[1]) == f[10000]
+
+
 def test_runthm_oracle_over_the_cap_fails_before_it_walks():
     # order 12 is above the default cap 11, so the error must come before
     # the direct values walk S_0..S_11 (about 19 s, past the timeout)
@@ -138,22 +169,18 @@ def test_runthm_oracle_over_the_cap_fails_before_it_walks():
                            "raise the cap with --cap-override\n")
 
 
+# (1,1) is (1,2)-admissible along 1-2-2 and along 1-3-2
+AMBIGUOUS_SPEC = {"name": "ambiguous", "dim": 3, "edges": [
+    {"from": u, "to": v, "cases": [{"parts": {"progressions": [], "extras": [1]},
+                                    "t_exp": [0, 0], "s_exp": [0, 0]}]}
+    for u, v in ((1, 2), (1, 3), (2, 2), (3, 2))]}
+
+
 def test_runthm_errors(capsys, tmp_path):
     code, _ = run(capsys, "runthm", "nonexistent.json", "-i", "1", "-j", "2")
     assert code == 2
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({
-        "name": "ambiguous", "dim": 3,
-        "edges": [
-            {"from": 1, "to": 2, "cases": [{"parts": {"progressions": [], "extras": [1]},
-                                            "t_exp": [0, 0], "s_exp": [0, 0]}]},
-            {"from": 1, "to": 3, "cases": [{"parts": {"progressions": [], "extras": [1]},
-                                            "t_exp": [0, 0], "s_exp": [0, 0]}]},
-            {"from": 2, "to": 2, "cases": [{"parts": {"progressions": [], "extras": [1]},
-                                            "t_exp": [0, 0], "s_exp": [0, 0]}]},
-            {"from": 3, "to": 2, "cases": [{"parts": {"progressions": [], "extras": [1]},
-                                            "t_exp": [0, 0], "s_exp": [0, 0]}]},
-        ]}))
+    bad.write_text(json.dumps(AMBIGUOUS_SPEC))
     code, _ = run(capsys, "runthm", str(bad), "-i", "1", "-j", "2")
     assert code == 1
 
@@ -295,6 +322,120 @@ def test_the_tracer_leaves_the_conjecture_report_unchanged(capsys):
     exit_code, out, _, _, calls = _traced(argv)
     assert (exit_code, out) == run(capsys, *argv)
     assert calls["oracle.marginal"] == 2 * 41 * 6
+
+
+_ENTERED = """
+import contextlib, io, json, os, sys
+sys.path.insert(0, {src!r})
+from desarrange import cli
+entered, codes = set(), []
+
+
+def trace(frame, event, arg):  # call events only: returning None traces no lines
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+
+sys.settrace(trace)
+for argv, cap in {commands!r}:
+    if cap is not None:
+        os.environ["DESARRANGE_CAP"] = cap
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(cli.main(argv))
+    except SystemExit as exc:  # argparse's usage error
+        codes.append(exc.code)
+    finally:
+        os.environ.pop("DESARRANGE_CAP", None)
+sys.settrace(None)
+print(json.dumps([codes, sorted(entered)]))
+"""
+
+# The functions of src/desarrange that no command enters, each with the reason it stays.
+_TRACER = "perfbench/tracer.py wraps it, reading it off the class by name"
+_OGF = "a plain-series FORMULAS row that no check reads until the formula side checks itself"
+UNENTERED = {
+    "series.TruncSeries.sqrt": _TRACER,
+    "series.TruncSeries.shift_down": _TRACER,
+    "series.TruncSeries.__rsub__": _TRACER,
+    "series.TruncSeries.__rtruediv__": _TRACER,
+    "series.SeriesMatrix.__mul__": _TRACER,
+    "series.Poly.__call__": _TRACER,
+    "series.TruncSeries.coeffs": "sqrt, shift_down and repr read the coefficients",
+    "formulas._sqrt_1_minus_4x": "the square root that three OGFs share",
+    "formulas._catalan_ogf": _OGF,
+    "formulas._fine_ogf": _OGF,
+    "formulas._fine_shifted_ogf": _OGF,
+    "formulas._jacobsthal_shifted_ogf": _OGF,
+    "formulas.TranscriptionError.__init__": "only a miscopied formula raises it",
+    "perms.complement": "the complement map; only the catalog's complement rows run it",
+    "perms.asc": "the STAT_FUNCTIONS row of asc, which no table reads",
+    "perms.is_derangement": "the derangements class test; the walker drops fixed points itself",
+}
+
+
+def _functions():
+    """(file, first line) -> module.qualname of every def in src/desarrange, lambdas
+    and the __eq__, __hash__ and __repr__ methods aside."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path, prefix)
+                continue
+            name = f"{prefix}.{child.name}"
+            if (not isinstance(child, ast.ClassDef)
+                    and child.name not in ("__eq__", "__hash__", "__repr__")):
+                # a decorated function's code starts at its first decorator
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(os.path.realpath(path), first)] = name
+            visit(child, path, name)
+
+    for path in sorted((SRC / "desarrange").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, path.stem)
+    return found
+
+
+def test_every_function_runs_under_some_command(tmp_path):
+    # one fresh interpreter runs every command through cli.main, so that no
+    # memo an earlier test filled can hide a function from the trace
+    ambiguous = tmp_path / "ambiguous.json"
+    ambiguous.write_text(json.dumps(AMBIGUOUS_SPEC))
+    commands = [["tables", str(k), "--n-max", "4", "--format", fmt]
+                for k in range(1, 8) for fmt in ("text", "csv", "json")]
+    commands += [
+        ["verify", "--n-max", "5"], ["verify", "--n-max", "5", "--format", "json"],
+        ["verify", "--only", "nope"],
+        ["conjecture", "--n-max", "10"],  # n = 10 is above CENSUS_MAX: tally walks
+        ["conjecture", "--n-max", "3", "--format", "json"],
+        ["runthm", "fig1", "-i", "1", "-j", "3", "--correction", "cosh", "--order", "6",
+         "--oracle"],
+        ["runthm", "fig2", "-i", "1", "-j", "2", "-t", "2", "--correction", "one",
+         "--order", "6", "--oracle"],
+        ["runthm", "fig3", "-i", "1", "-j", "2", "-t", "2", "-s", "3/2", "--order", "6",
+         "--oracle"],
+        ["runthm", "fig1", "-i", "1", "-j", "4"],
+        ["runthm", str(tmp_path / "missing.json"), "-i", "1", "-j", "2"],
+        ["runthm", str(ambiguous), "-i", "1", "-j", "2"],
+        ["--cap-override", "3", "verify", "--n-max", "5"],
+    ]
+    commands += [["seq", tag, "12"] for tag in patterns.SEQUENCE_IDS]
+    commands += [["seq", f"d({pats})", "12"] for pats in
+                 ("", "123", "321", "132,213", "123,132,213", "213,312", "{231,312,321}")]
+    commands += [["seq", "lucas", "3"], ["seq", "d(12)", "3"], ["seq", "fine", "-1"]]
+    runs = [(argv, None) for argv in commands] + [(["verify"], "x")]  # a malformed cap
+    env = {k: v for k, v in os.environ.items() if k != "DESARRANGE_CAP"}
+    done = subprocess.run([sys.executable, "-c",
+                           _ENTERED.format(src=str(SRC), commands=runs)],
+                          capture_output=True, text=True, env=env, check=True, timeout=120)
+    codes, entered = json.loads(done.stdout.splitlines()[-1])
+    assert codes.count(1) == 1 and codes[-1] == 2  # the ambiguous spec, and the bad cap
+    functions = _functions()
+    assert set(UNENTERED) <= set(functions.values())
+    entered = {(os.path.realpath(path), line) for path, line in entered}
+    unentered = {name for key, name in functions.items() if key not in entered}
+    assert unentered == set(UNENTERED)
 
 
 def _fig2_json():

@@ -41,8 +41,8 @@ def _setattr(obj, name, value):
 
 def _brute_off_by_one(stats, klass):
     """oracle.distribution with one count of stats over klass at n = 4 raised by one."""
-    def distribution(n, names, klass_, restrict=None, real=oracle.distribution):
-        out = real(n, names, klass_, restrict)
+    def distribution(n, names, klass_, real=oracle.distribution):
+        out = real(n, names, klass_)
         if n == 4 and tuple(names) == stats and klass_ == klass:
             out[next(iter(out))] += 1
         return out

@@ -5,13 +5,13 @@ import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from desarrange import rungraph
 from desarrange.formulas import evaluate_formula
 from desarrange.rungraph import (
     AdmissibilityReport, Edge, HypothesisViolationError, PartSet, RunGraphSpec,
-    SpecFormatError, WeightCase, builtin_spec, composition_weight, oracle_weight_sum,
+    SpecFormatError, WeightCase, builtin_spec, oracle_weight_sum,
     run_theorem_egf, spec_from_json, validate_unique_admissibility,
 )
 from desarrange.series import cosh_even
@@ -58,22 +58,24 @@ def test_spec_validation():
 
 def test_admissibility_examples():
     fig1 = builtin_spec("fig1")
-    assert composition_weight(fig1, 1, 3, (1, 1, 1, 3, 4, 1, 2)) == 1
-    assert composition_weight(fig1, 1, 3, (2, 1, 1, 4, 3)) == 0
-    assert composition_weight(fig1, 1, 1, ()) == 1
-    assert composition_weight(fig1, 1, 3, ()) == 0
-    # multiplicative along concatenation of admissible halves (1->2, 2->... )
-    w1 = composition_weight(fig1, 1, 2, (1,))
-    w2 = composition_weight(fig1, 2, 3, (2, 5))
-    assert composition_weight(fig1, 1, 3, (1, 2, 5)) == w1 * w2 == 1
+    assert naive_path_weights(fig1, 1, 3, (1, 1, 1, 3, 4, 1, 2), 1, 1) == [1]
+    assert naive_path_weights(fig1, 1, 3, (2, 1, 1, 4, 3), 1, 1) == []
+    assert naive_path_weights(fig1, 1, 1, (), 1, 1) == [1]
+    assert naive_path_weights(fig1, 1, 3, (), 1, 1) == []
+    # multiplicative along concatenation of admissible halves (1->2, 2->3)
+    [w1] = naive_path_weights(fig1, 1, 2, (1,), 1, 1)
+    [w2] = naive_path_weights(fig1, 2, 3, (2, 5), 1, 1)
+    assert naive_path_weights(fig1, 1, 3, (1, 2, 5), 1, 1) == [w1 * w2] == [1]
+    assert rungraph._path_exponents(fig1, 1, 3, (1, 2, 5)) == (0, 0)
 
 
 def test_weighted_composition_weight():
     fig2 = builtin_spec("fig2")
-    t = Fraction(3)
     # composition (2, 1, 4): weight t^(2-1) * t^(1-1) * t^(4-1) = t^4
-    assert composition_weight(fig2, 1, 2, (2, 1, 4), t=t) == t ** 4
-    assert composition_weight(fig2, 1, 2, (3, 1), t=t) == 0  # odd first part
+    assert rungraph._path_exponents(fig2, 1, 2, (2, 1, 4)) == (4, 0)
+    assert naive_path_weights(fig2, 1, 2, (2, 1, 4), 3, 1) == [3 ** 4]
+    assert rungraph._path_exponents(fig2, 1, 2, (3, 1)) is None  # odd first part
+    assert naive_path_weights(fig2, 1, 2, (3, 1), 3, 1) == []
 
 
 def test_validate_unique_admissibility():
@@ -126,8 +128,12 @@ def test_admissibility_matches_exhaustive_reference():
                     == exhaustive_admissibility(spec, max_size)), (spec.name, max_size)
 
 
+exponent_pairs = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
 @st.composite
 def random_specs(draw):
+    """Specs on 1..3 vertices, each edge one case with non-negative exponents."""
     dim = draw(st.integers(1, 3))
     edges = []
     for u in range(1, dim + 1):
@@ -136,7 +142,9 @@ def random_specs(draw):
                 progressions = draw(st.lists(
                     st.tuples(st.integers(1, 4), st.integers(1, 3)), max_size=2))
                 extras = draw(st.lists(st.integers(1, 6), max_size=3))
-                edges.append(Edge(u, v, (unit_case(progressions, extras),)))
+                edges.append(Edge(u, v, (WeightCase(PartSet.make(progressions, extras),
+                                                    draw(exponent_pairs),
+                                                    draw(exponent_pairs)),)))
     return RunGraphSpec("random", dim, tuple(edges))
 
 
@@ -160,10 +168,22 @@ def test_admissibility_matches_exhaustive_on_random_specs(spec, max_size):
             == exhaustive_admissibility(spec, max_size))
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(random_specs(), st.sampled_from([(1, 1), (2, 1), (3, 2), (Fraction(1, 2), 3)]))
+def test_pipeline_matches_oracle_on_random_weighted_specs(spec, point):
+    # the matrix builder reads every edge's exponents; the oracle reads them per path
+    assume(validate_unique_admissibility(spec, 6).ok)
+    t, s = point
+    for i, j in itertools.product(range(1, spec.dim + 1), repeat=2):
+        egf = run_theorem_egf(spec, i, j, t, s, order=6)
+        for n in range(7):
+            assert egf.egf_coeff(n) == oracle_weight_sum(spec, i, j, n, t, s), (i, j, n)
+
+
 def test_hypothesis_violation_raised():
     spec = ambiguous_spec()
     with pytest.raises(HypothesisViolationError):
-        composition_weight(spec, 1, 2, (1, 1))
+        rungraph._path_exponents(spec, 1, 2, (1, 1))
     with pytest.raises(HypothesisViolationError):
         run_theorem_egf(spec, 1, 2, order=4)
 
@@ -171,7 +191,7 @@ def test_hypothesis_violation_raised():
 def test_run_theorem_worked_example_fig1():
     egf = run_theorem_egf(builtin_spec("fig1"), 1, 3, order=8)
     with_correction = egf + cosh_even(4, 8)
-    assert with_correction.egf_coeffs() == DERANGEMENT_NUMBERS[:9]
+    assert [with_correction.egf_coeff(n) for n in range(9)] == DERANGEMENT_NUMBERS[:9]
 
 
 def test_run_theorem_worked_example_fig2():
@@ -181,16 +201,16 @@ def test_run_theorem_worked_example_fig2():
         assert egf == evaluate_formula("des", t=t, order=8)
     # t = 1 collapses the weights to 1 and recovers the derangement numbers
     egf = run_theorem_egf(fig2, 1, 2, t=1, order=8) + 1
-    assert egf.egf_coeffs() == DERANGEMENT_NUMBERS[:9]
+    assert [egf.egf_coeff(n) for n in range(9)] == DERANGEMENT_NUMBERS[:9]
 
 
 def test_run_theorem_high_order():
     # beyond the order 22 the exhaustive check could reach; the references
     # are the derangement recurrence and the closed-form descent EGF
     egf = run_theorem_egf(builtin_spec("fig1"), 1, 3, order=30) + cosh_even(4, 30)
-    assert egf.egf_coeffs() == derangement_numbers(30)
+    assert [egf.egf_coeff(n) for n in range(31)] == derangement_numbers(30)
     egf = run_theorem_egf(builtin_spec("fig1"), 1, 3, order=60) + cosh_even(4, 60)
-    assert egf.egf_coeffs() == derangement_numbers(60)
+    assert [egf.egf_coeff(n) for n in range(61)] == derangement_numbers(60)
     egf = run_theorem_egf(builtin_spec("fig2"), 1, 2, t=2, order=24) + 1
     assert egf == evaluate_formula("des", t=2, order=24)
 
@@ -223,9 +243,9 @@ def naive_path_weights(spec, i, j, parts, t, s):
             return [Fraction(1)] if v == j else []
         out = []
         for e in spec.edges_from(v):
-            w = e.weight(parts[idx], t, s)
-            if w is not None:
-                out.extend(w * tail for tail in rec(e.dst, idx + 1))
+            ex = e.exponents(parts[idx])
+            if ex is not None:
+                out.extend(t ** ex[0] * s ** ex[1] * tail for tail in rec(e.dst, idx + 1))
         return out
 
     return rec(i, 0)
@@ -250,8 +270,8 @@ def test_composition_weight_against_naive_enumeration():
                     for j in range(1, spec.dim + 1):
                         weights = naive_path_weights(spec, i, j, comp, t, s)
                         assert len(weights) <= 1, (name, comp, i, j)
-                        want = weights[0] if weights else Fraction(0)
-                        assert composition_weight(spec, i, j, comp, t, s) == want
+                        ex = rungraph._path_exponents(spec, i, j, comp)
+                        assert weights == ([] if ex is None else [t ** ex[0] * s ** ex[1]])
     spec = ambiguous_spec()
     assert len(naive_path_weights(spec, 1, 2, (1, 1), 1, 1)) == 2
 
@@ -271,12 +291,10 @@ def test_oracle_matches_pipeline():
 
 
 def reference_weight_sum(spec, i, j, n, t, s):
-    """The oracle as one composition_weight per descent composition of S_n."""
+    """The oracle as the naive path weights of each descent composition of S_n."""
     total = Fraction(0)
     for comp, count in rungraph.descent_composition_counts(n).items():
-        w = composition_weight(spec, i, j, comp, t, s)
-        if w:
-            total += count * w
+        total += count * sum(naive_path_weights(spec, i, j, comp, t, s))
     return total
 
 
