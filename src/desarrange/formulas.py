@@ -158,29 +158,6 @@ def _joint_pix_des(s: Fraction, t: Fraction, order: int) -> TruncSeries:
     return _div(num, den)
 
 
-def _sqrt_1_minus_4x(order: int) -> TruncSeries:
-    return poly_series([1, -4], order).sqrt()
-
-
-def _catalan_ogf(order: int) -> TruncSeries:
-    r = _sqrt_1_minus_4x(order + 1)
-    return (1 - r).shift_down() / 2
-
-
-def _fine_ogf(order: int) -> TruncSeries:
-    r = _sqrt_1_minus_4x(order)
-    return _div(1 - r, 3 - r)
-
-
-def _fine_shifted_ogf(order: int) -> TruncSeries:
-    r = _sqrt_1_minus_4x(order)
-    return _div(TruncSeries.constant(2, order), r + poly_series([1, 2], order))
-
-
-def _jacobsthal_shifted_ogf(order: int) -> TruncSeries:
-    return _div(poly_series([1, -1, -1], order), poly_series([1, -1, -2], order))
-
-
 # tag -> (number of statistic variables, builder, the class whose members a
 # distribution row counts, or None for a plain series); a builder takes the
 # variables it needs, s before t, then the order
@@ -195,10 +172,6 @@ FORMULAS = {
     "ddes": (1, _ddes, "desarrangements"),
     "joint_pk_des": (2, _joint_pk_des, "desarrangements"),
     "joint_pix_des": (2, _joint_pix_des, "all"),
-    "catalan_ogf": (0, _catalan_ogf, None),
-    "fine_ogf": (0, _fine_ogf, None),
-    "fine_shifted_ogf": (0, _fine_shifted_ogf, None),
-    "jacobsthal_shifted_ogf": (0, _jacobsthal_shifted_ogf, None),
 }
 
 

@@ -128,21 +128,14 @@ def check_statistic_tables(rep: VerificationReport, top: int):
             rep.record(n, got == want, f"{name}: formula {got} vs oracle {want}")
 
 
-# The run theorem's worked examples: (spec, entries summed, correction, closed
-# form, frozen values or None, (t, s) points).  At each point the entries plus
-# the correction equal the closed form, and the frozen values where given.
-_WORKED_EXAMPLES = (
-    ("fig1", ((1, 3),), "cosh", "derangement_egf", DERANGEMENT_NUMBERS, ((1, 1),)),
+# The run theorem's cases: (spec, entries summed, correction, closed form,
+# frozen values or None, (t, s) points off the closed form's poles).  At each
+# point every entry equals the enumeration oracle at every n, and the entries
+# plus the correction equal the closed form, and the frozen values where given.
+_RUN_THEOREM_CASES = (
+    ("fig1", ((1, 3),), "cosh", "derangement_egf", DERANGEMENT_NUMBERS, ((1, 1), (2, 1), (3, 1))),
     ("fig2", ((1, 2),), "one", "des", None, ((2, 1), (3, 1), (5, 1))),
-    ("fig3", ((1, 1), (1, 2)), "none", "joint_pix_des", None, ((3, 2), (2, 3))),
-)
-
-# (spec, entry, (t, s) points) compared with the enumeration oracle at every n
-_ORACLE_CASES = (
-    ("fig1", (1, 3), ((1, 1), (2, 1), (3, 1))),
-    ("fig2", (1, 2), ((2, 1), (3, 1), (5, 1))),
-    ("fig3", (1, 2), ((2, 2), (3, 2), (2, 5))),
-    ("fig3", (1, 1), ((2, 2), (3, 2), (2, 5))),
+    ("fig3", ((1, 1), (1, 2)), "none", "joint_pix_des", None, ((3, 2), (2, 3), (2, 5))),
 )
 
 
@@ -150,29 +143,20 @@ _ORACLE_CASES = (
 def check_run_theorem(rep: VerificationReport, top: int):
     """Built-in graph specs against enumeration and the closed forms."""
     order = top
-    specs = {name: rungraph.builtin_spec(name) for name in rungraph.BUILTIN_SPECS}
-    built = {}  # (spec, i, j, t, s) -> its entry series, built once
-
-    def entry(name, i, j, t, s):
-        key = (name, i, j, t, s)
-        if key not in built:
-            built[key] = rungraph.run_theorem_egf(specs[name], i, j, t=t, s=s, order=order)
-        return built[key]
-
     for n in range(top + 1):
         rep.record(n, True)  # each comparison below records only a mismatch
-    for name, (i, j), points in _ORACLE_CASES:
+    for name, entries, correction, tag, frozen, points in _RUN_THEOREM_CASES:
+        spec = rungraph.builtin_spec(name)
         for t, s in points:
-            egf = entry(name, i, j, t, s)
-            for n in range(top + 1):
-                got = egf.egf_coeff(n)
-                direct = rungraph.oracle_weight_sum(specs[name], i, j, n, t=t, s=s)
-                if got != direct:
-                    rep.record(n, False, f"{name}({i},{j}) t={t} s={s}: {got} vs {direct}")
-    for name, entries, correction, tag, frozen, points in _WORKED_EXAMPLES:
-        for t, s in points:
-            egf = sum((entry(name, i, j, t, s) for i, j in entries),
-                      CORRECTIONS[correction](order))
+            egf = CORRECTIONS[correction](order)
+            for i, j in entries:
+                part = rungraph.run_theorem_egf(spec, i, j, t=t, s=s, order=order)
+                for n in range(top + 1):
+                    got = part.egf_coeff(n)
+                    direct = rungraph.oracle_weight_sum(spec, i, j, n, t=t, s=s)
+                    if got != direct:
+                        rep.record(n, False, f"{name}({i},{j}) t={t} s={s}: {got} vs {direct}")
+                egf = egf + part
             closed = formulas.evaluate_formula(tag, t=t, s=s, order=order)
             for n in range(top + 1):
                 got, want = egf.egf_coeff(n), closed.egf_coeff(n)

@@ -353,7 +353,6 @@ print(json.dumps([codes, sorted(entered)]))
 
 # The functions of src/desarrange that no command enters, each with the reason it stays.
 _TRACER = "perfbench/tracer.py wraps it, reading it off the class by name"
-_OGF = "a plain-series FORMULAS row that no check reads until the formula side checks itself"
 UNENTERED = {
     "series.TruncSeries.sqrt": _TRACER,
     "series.TruncSeries.shift_down": _TRACER,
@@ -362,11 +361,6 @@ UNENTERED = {
     "series.SeriesMatrix.__mul__": _TRACER,
     "series.Poly.__call__": _TRACER,
     "series.TruncSeries.coeffs": "sqrt, shift_down and repr read the coefficients",
-    "formulas._sqrt_1_minus_4x": "the square root that three OGFs share",
-    "formulas._catalan_ogf": _OGF,
-    "formulas._fine_ogf": _OGF,
-    "formulas._fine_shifted_ogf": _OGF,
-    "formulas._jacobsthal_shifted_ogf": _OGF,
     "formulas.TranscriptionError.__init__": "only a miscopied formula raises it",
     "perms.complement": "the complement map; only the catalog's complement rows run it",
     "perms.asc": "the STAT_FUNCTIONS row of asc, which no table reads",

@@ -7,7 +7,6 @@ from desarrange.formulas import (
     PoleError, distribution_polynomials, evaluate_formula,
     fix_egf, good_t_points, peak_egf, right_valley_egf, row_text, rval_rows,
 )
-from desarrange.patterns import sequence
 from desarrange.series import exp_series
 from desarrange.verify import _substitute
 
@@ -65,18 +64,6 @@ def test_rval_rows():
     assert rows[0] == {0: 1}
     joint = oracle.distribution(5, ["rval"], "desarrangements")
     assert joint == rows[5]
-
-
-def test_ogf_formulas_match_sequences():
-    cat = evaluate_formula("catalan_ogf", order=10)
-    assert [int(c) for c in cat.coeffs] == [sequence("catalan", n) for n in range(11)]
-    f = evaluate_formula("fine_ogf", order=11)
-    assert [int(c) for c in f.coeffs] == [sequence("fine", n) for n in range(12)]
-    fs = evaluate_formula("fine_shifted_ogf", order=10)
-    assert [int(c) for c in fs.coeffs] == [sequence("fine", n + 1) for n in range(11)]
-    js = evaluate_formula("jacobsthal_shifted_ogf", order=11)
-    assert [int(c) for c in js.coeffs] == [1] + [sequence("jacobsthal", n - 1)
-                                                for n in range(1, 12)]
 
 
 def test_joint_tables_small_rows():
@@ -139,7 +126,7 @@ def test_fix_egf_against_oracle():
 
 def test_arity_zero_rejects_distribution():
     with pytest.raises(ValueError):
-        distribution_polynomials("catalan_ogf", 3)
+        distribution_polynomials("derangement_egf", 3)
 
 
 def test_row_sums():

@@ -49,11 +49,19 @@ def _brute_off_by_one(stats, klass):
     return _setattr(oracle, "distribution", distribution)
 
 
-def _fig2(edit):
-    """rungraph.builtin_spec("fig2") replaced by edit(the shipped spec)."""
+def _spec(which, edit):
+    """rungraph.builtin_spec(which) replaced by edit(the shipped spec)."""
     real = rungraph.builtin_spec
     return _setattr(rungraph, "builtin_spec",
-                    lambda name: edit(real(name)) if name == "fig2" else real(name))
+                    lambda name: edit(real(name)) if name == which else real(name))
+
+
+def _case(spec, edge, **fields):
+    """spec with the fields of the first weight case of edges[edge] replaced."""
+    edges = list(spec.edges)
+    edges[edge] = edges[edge]._replace(cases=(edges[edge].cases[0]._replace(**fields),
+                                              *edges[edge].cases[1:]))
+    return spec._replace(edges=tuple(edges))
 
 
 def _walker(old, new):
@@ -176,12 +184,18 @@ MUTANTS = [
         s for s in patterns.PIXFIX_CONJECTURE_SETS if s != patterns.parse_patterns("132,312"))),
      "equidistribution", 7,
      _fail("equidistribution", 7, 7, "{132,312} pixfix_match=True but conjectured=False)")),
-    ("fig2-ambiguous", _fig2(lambda spec: ambiguous_spec()), "run-theorem", 4,
+    ("fig2-ambiguous", _spec("fig2", lambda spec: ambiguous_spec()), "run-theorem", 4,
      _fail("run-theorem", 4, 4, "hypothesis violation: composition (1, 1) "
                                 "is (1,2)-admissible along multiple paths)\n")),
-    ("fig2-loop-t_exp-(1,0)", _fig2(lambda spec: spec._replace(edges=(spec.edges[0], (
-        spec.edges[1]._replace(cases=(spec.edges[1].cases[0]._replace(t_exp=(1, 0)),)))))),
+    # a miscopied spec moves its pipeline and its oracle alike: only the closed form sees it
+    ("fig1-loop-t_exp-(1,0)", _spec("fig1", lambda spec: _case(spec, 3, t_exp=(1, 0))),
+     "run-theorem", 5, _fail("run-theorem", 5, 4, "fig1 ((1, 3),) + cosh at t=2 s=1: "
+                                                  "14 vs derangement_egf 9, known 9)")),
+    ("fig2-loop-t_exp-(1,0)", _spec("fig2", lambda spec: _case(spec, 1, t_exp=(1, 0))),
      "run-theorem", 3, _fail("run-theorem", 3, 3, "fig2 ((1, 2),) + one at t=2 s=1: 8 vs des 4)")),
+    ("fig3-loop-s_exp-(0,2)", _spec("fig3", lambda spec: _case(spec, 0, s_exp=(0, 2))),
+     "run-theorem", 5, _fail("run-theorem", 5, 1, "fig3 ((1, 1), (1, 2)) + none at t=3 s=2: "
+                                                  "4 vs joint_pix_des 2)")),
     ("walker-123", _walker("w123 and rest > bit", "w123 and rest > bit << 1"),
      "patterns", 4, _fail("pattern-counts", 4, 4, "{123}: formula 6 vs brute 8)")),
     ("walker-132", _walker("rest & (bit - 1) > low", "rest & ((bit >> 1) - 1) > low"),

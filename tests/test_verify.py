@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from desarrange import cli, patterns, rungraph, verify
+from desarrange import cli, formulas, patterns, rungraph, verify
 from desarrange.perms import avoiders, class_predicate
 from test_mutants import BROKEN_BIJECTIONS, BRUTE_SIDE_ERRORS, DES_OVER_T, assert_caught
 
@@ -52,7 +52,16 @@ def test_run_theorem_builds_each_point_once(monkeypatch):
 
     monkeypatch.setattr(rungraph, "run_theorem_egf", counted)
     assert verify.CHECKS["run-theorem"](9).ok
-    assert len(calls) == len(set(calls)) == 14
+    want = {(name, i, j, t, s) for name, entries, *_, points in verify._RUN_THEOREM_CASES
+            for i, j in entries for t, s in points}
+    assert len(calls) == len(set(calls)) and set(calls) == want and len(want) == 12
+
+
+def test_run_theorem_points_avoid_the_closed_form_poles():
+    for name, _, _, tag, _, points in verify._RUN_THEOREM_CASES:
+        assert len(set(points)) == len(points), name
+        for t, s in points:
+            formulas.evaluate_formula(tag, t=t, s=s, order=60)  # no PoleError
 
 
 @pytest.mark.parametrize("row", BRUTE_SIDE_ERRORS, ids=lambda row: row[0])
