@@ -10,8 +10,9 @@ Exit codes: 0 success, 1 verification mismatch or hypothesis violation,
 2 usage error.
 
 Building the parser loads only perms and series; each subcommand imports
-the layers it runs when it runs (runthm adds rungraph, tables 2..6 adds
-formulas), so a fresh process pays for no layer it never calls.
+the layers it runs when it runs (runthm adds rungraph, tables 2..6 add
+rankdp, which counts the rows, and formulas, which must meet them before
+they print), so a fresh process pays for no layer it never calls.
 runthm --correction reads its choices from series.CORRECTIONS, the table
 that verify's worked examples read too.
 """
@@ -69,10 +70,8 @@ def render_table1(fmt: str) -> str:
     return "\n".join(lines)
 
 
-def render_stat_table(which: int, fmt: str, n_max: int) -> str:
+def render_stat_table(tag: str, rows: dict, fmt: str) -> str:
     from . import formulas
-    tag = STAT_TABLE_IDS[which]
-    rows = formulas.distribution_polynomials(tag, n_max)
     if fmt == "text":
         lines = [f"n\tD_n^{tag}(t)"]
         lines.extend(f"{n}\t{formulas.row_text(row)}" for n, row in rows.items())
@@ -112,7 +111,17 @@ def cmd_tables(args) -> int:
     if args.which == 1:
         _emit(render_table1(args.format))
     elif args.which in STAT_TABLE_IDS:
-        _emit(render_stat_table(args.which, args.format, args.n_max))
+        from . import formulas, rankdp
+        tag = STAT_TABLE_IDS[args.which]
+        rows = rankdp.rows(tag, args.n_max)
+        try:
+            bad = next(formulas.mismatches(tag, rows), None)
+        except formulas.PoleError as exc:
+            bad = args.n_max, f"formula pole: {exc}"
+        if bad is not None:  # the rows print only once the formula meets them
+            print(f"mismatch: {tag} at n={bad[0]}: {bad[1]}", file=sys.stderr)
+            return 1
+        _emit(render_stat_table(tag, rows, args.format))
     else:  # argparse restricts which to 1..7
         _emit(render_table7(args.format, args.n_max))
     return 0

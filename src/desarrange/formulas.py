@@ -1,18 +1,14 @@
 """
-Closed-form generating functions and the interpolation layer that turns
-them into distribution polynomials.
+Closed-form generating functions, evaluated at sample points and checked
+against counted rows.
 
 Statistic variables are never handled symbolically: a formula is evaluated
-at concrete rational points of t, giving plain rational x-series, and the
-degree-bounded distribution polynomial of each row is recovered by exact
-interpolation (series.interpolate_rows: the rows of a table share one node
-set, whose divided-difference weights are computed once, and each degree-n
-row then costs O(n_max^2) integer operations).  Every row n of a table with
-rows 0..n_max goes through all n_max + 2 sample points, n + 1 of which
-determine it; the other n_max + 1 - n are spare points that double as a
-transcription check.  A joint formula is evaluated at the one value
-s = 2^B, with 2^(B-1) > n_max!, so the same fit in t yields integers whose
-base-2^B digits are the s-coefficients: one fit path for every table.
+at concrete rational points of t (and s), giving plain rational x-series.
+The distribution rows themselves are counted by rankdp; a formula only has
+to meet them.  mismatches evaluates it at the first n_max + 2 integers
+t >= 2 off its poles, a joint formula at the one value s = 2^B with
+2^(B-1) > n_max!, and compares each row's value there with n! [x^n] of the
+series, in integers on the series' EGF numerators.
 
 A distribution row has the shape perms.tally returns: a count map
 {t-exponent: count}, or {(s-exponent, t-exponent): count} for a joint
@@ -38,7 +34,7 @@ stays rational:
 where C = cosh_even(p), S = sinh_even_div(p), and C4/S4 are the same at
 p = 4(1-t).  Each rewrite just divides the stated numerator and
 denominator by the radical; correctness is enforced wholesale by the
-brute-force oracle tests.
+counted rows and the brute-force oracle.
 """
 from __future__ import annotations
 
@@ -47,24 +43,12 @@ from fractions import Fraction
 from math import factorial
 
 from .series import (
-    ConstantTermError, InterpolationError, TruncSeries,
-    cosh_even, exp_series, interpolate_rows, poly_series, sinh_even_div,
+    ConstantTermError, TruncSeries, cosh_even, exp_series, poly_series, sinh_even_div,
 )
 
 
 class PoleError(ValueError):
     """The chosen (t, s) specialization hits a pole; resample elsewhere."""
-
-
-class TranscriptionError(AssertionError):
-    """Interpolated rows are inconsistent: a formula was copied wrong.
-
-    row is the first row found inconsistent, when one is named.
-    """
-
-    def __init__(self, message: str, row: int | None = None):
-        super().__init__(message)
-        self.row = row
 
 
 def _div(num: TruncSeries, den: TruncSeries) -> TruncSeries:
@@ -217,84 +201,27 @@ def row_text(row: dict, var: str = "t") -> str:
     return "+".join(terms) or "0"
 
 
-def _sampled_rows(points, n_max: int):
-    """Yield, for n = 0..n_max, the row of the polynomial of degree <= n
-    through the EGF values n! [x^n] at the points; its coefficients must
-    all be counts."""
-    xs = [v for v, _ in points]
-    rows = ([ser.egf_coeff(n) for _, ser in points] for n in range(n_max + 1))
-    fits = interpolate_rows(xs, rows, range(n_max + 1))
-    for n in range(n_max + 1):
-        try:
-            poly = next(fits)
-        except InterpolationError as exc:
-            raise TranscriptionError(f"row {n}: {exc}", n) from exc
-        for c in poly.coeffs:
-            if c.denominator != 1 or c < 0:
-                raise TranscriptionError(f"row {n}: coefficient {c} not a count", n)
-        yield {k: c.numerator for k, c in enumerate(poly.coeffs) if c}
-
-
-def _unpacked(row: dict, n: int, bits: int) -> dict:
-    """Row n of a joint table from its fit at s = 2^bits: the base-2^bits
-    digits of the t^j count are the counts of s^0 t^j, s^1 t^j, ...
-    Each must be a count of at most n!, and none may sit above s^n."""
-    entries = {}
-    most = factorial(n)
-    low = (1 << bits) - 1
-    for j, packed in row.items():
-        i = 0
-        while packed:
-            digit = packed & low
-            if digit > most:
-                raise TranscriptionError(
-                    f"row {n}: s^{i} t^{j} coefficient {digit} exceeds {n}! = {most}", n)
-            if digit and i > n:
-                raise TranscriptionError(f"row {n}: term s^{i} t^{j} above s-degree {n}", n)
-            if digit:
-                entries[i, j] = digit
-            packed >>= bits
-            i += 1
-    return dict(sorted(entries.items()))
-
-
-def _row_sums_checked(tag: str, rows: dict) -> dict:
-    """The rows, once each row n totals the size of its formula's class:
-    n! for all permutations, and d_n = n * d_(n-1) + (-1)^n for the
-    desarrangements, which are as many as the derangements."""
-    klass = FORMULAS[tag][2]
-    sign = 1 if klass == "desarrangements" else 0
-    size = 1
-    for n, row in rows.items():
-        if n:
-            size = n * size + sign * (-1) ** n
-        total = sum(row.values())
-        if total != size:
-            raise TranscriptionError(
-                f"row {n}: sums to {total}, but class {klass!r} has {size} members", n)
-    return rows
-
-
-def distribution_polynomials(tag: str, n_max: int) -> dict:
-    """Rows 0..n_max of the distribution encoded by the named formula, as
-    {n: row}.
-
-    All rows are fitted in t on one node set (series.interpolate_rows).  A
-    joint formula is sampled at the one point s = 2^B, where 2^(B-1) > n_max!
-    bounds every count: each fitted t-coefficient then packs the
-    s-coefficients as its base-2^B digits (Kronecker substitution).  After
-    the fits, every row must total the size of its formula's class: a
-    stray term constant in t and s fits, and only its row sum shows it.
+def mismatches(tag: str, rows: dict, var: str = "t"):
+    """Yield (n, note), n ascending, for each row n that the named formula
+    misses at one of its sample points: the first n_max + 2 integers t >= 2
+    off its poles, n_max being the last row, and for a joint formula
+    s = 2^B with 2^(B-1) > n_max!.  There the row's value must be n! [x^n]
+    of the series, compared in integers.  var names t in the notes.
     """
-    arity = FORMULAS[tag][0]
-    if arity == 0:
-        raise ValueError(f"{tag} carries no statistic variable")
+    n_max = max(rows)
     bits = factorial(n_max).bit_length() + 1
-    s = 2 ** bits if arity == 2 else None
-    points = good_t_points(tag, n_max + 2, n_max, s=s)
-    rows = {n: row if s is None else _unpacked(row, n, bits)
-            for n, row in enumerate(_sampled_rows(points, n_max))}
-    return _row_sums_checked(tag, rows)
+    s = 2 ** bits if FORMULAS[tag][0] == 2 else None
+    s_pow = [s ** i for i in range(n_max + 1)] if s else None
+    points = [([t.numerator ** j for j in range(n_max + 1)], ser,
+               f"{var}={t}" if s is None else f"s=2^{bits}, t={t}")
+              for t, ser in good_t_points(tag, n_max + 2, n_max, s=s)]
+    for n, row in rows.items():
+        for t_pow, ser, where in points:
+            got = (sum(c * t_pow[j] for j, c in row.items()) if s is None
+                   else sum(c * s_pow[i] * t_pow[j] for (i, j), c in row.items()))
+            if not ser.egf_coeff_is(n, got):
+                yield n, f"DP {got} vs formula {ser.egf_coeff(n)} at {where}"
+                break
 
 
 def rval_rows(pk_rows: dict) -> dict:

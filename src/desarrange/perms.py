@@ -63,16 +63,6 @@ def standardize(word) -> Perm:
     return tuple(rank[v] for v in word)
 
 
-def complement(p) -> Perm:
-    """Replace each value v by n+1-v.
-
-    >>> complement((3, 1, 2, 5, 4))
-    (3, 5, 4, 1, 2)
-    """
-    n = len(p)
-    return tuple(n + 1 - v for v in p)
-
-
 def first_ascent(p) -> int | None:
     """Smallest ascent position (position n counts), or None when p is empty.
 
@@ -112,11 +102,6 @@ def is_derangement(p) -> bool:
 def des(p) -> int:
     """Number of positions i < n with p_i > p_{i+1}."""
     return sum(1 for i in range(len(p) - 1) if p[i] > p[i + 1])
-
-
-def asc(p) -> int:
-    """Number of non-descent positions in [n]; always includes position n."""
-    return len(p) - des(p)
 
 
 def pk(p) -> int:
@@ -216,7 +201,7 @@ def pix(p) -> int:
 
 
 STAT_FUNCTIONS = {
-    "des": des, "asc": asc, "pk": pk, "val": val, "dasc": dasc,
+    "des": des, "pk": pk, "val": val, "dasc": dasc,
     "ddes": ddes, "rval": rval, "fix": fix, "pix": pix,
 }
 

@@ -8,17 +8,12 @@ exp(c*x) at an integer c is just the powers c^k over 1.  Every ring
 operation works on these integers and truncates back to order N: a sum
 over the lcm of the denominators, a product as a binomial convolution, a
 quotient by an all-integer recurrence (an inverse is the quotient of
-one).  The rational coefficients are
-derived on first use.  Arithmetic is only defined between series of equal
-order.  SeriesMatrix wraps a square grid of equal-order series and supports
-inversion by Gaussian elimination, which only needs the constant-term
-matrix to be invertible over the rationals.
-
-interpolate_rows fits many rows of values on one shared set of nodes: it
-computes the integer weights of every divided difference once, and then
-each row costs O(m^2) integer operations for m nodes.  Points beyond a
-row's degree bound are its check: every divided difference above the
-bound must vanish.
+one).  The rational coefficients are derived on first use, and
+egf_coeff_is tests an EGF coefficient against an integer without them.
+Arithmetic is only defined between series of equal order.  SeriesMatrix
+wraps a square grid of equal-order series and supports inversion by
+Gaussian elimination, which only needs the constant-term matrix to be
+invertible over the rationals.
 
 CORRECTIONS names the series a run-theorem worked example adds to its
 entry; runthm --correction and verify both read it here.
@@ -29,8 +24,6 @@ import functools
 import math
 import operator
 from fractions import Fraction
-
-Rat = Fraction
 
 
 class OrderMismatchError(ValueError):
@@ -43,10 +36,6 @@ class ConstantTermError(ZeroDivisionError):
 
 class SingularMatrixError(ValueError):
     """The constant-term matrix is not invertible over the rationals."""
-
-
-class InterpolationError(ValueError):
-    """Interpolation input is malformed or inconsistent with the degree bound."""
 
 
 def _as_fraction(v) -> Fraction:
@@ -137,6 +126,11 @@ class TruncSeries:
     def egf_coeff(self, n: int) -> Fraction:
         """n! times the coefficient of x^n."""
         return Fraction(self._num[n], self._den)
+
+    def egf_coeff_is(self, n: int, value: int) -> bool:
+        """Whether n! times the coefficient of x^n is the integer value,
+        tested in integers."""
+        return value * self._den == self._num[n]
 
     def _check_order(self, other: "TruncSeries"):
         if self.order != other.order:
@@ -399,8 +393,9 @@ def hat_transform(obj):
 
 
 class Poly:
-    """Polynomial with rational coefficients, constant term first: what
-    interpolation returns."""
+    """Polynomial with rational coefficients, constant term first.  No
+    command builds one; perfbench/tracer.py reads Poly.__call__ off the
+    class."""
 
     __slots__ = ("coeffs",)
 
@@ -425,64 +420,3 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({[str(c) for c in self.coeffs]})"
-
-
-def interpolate_rows(xs, rows, bounds):
-    """Yield, row by row, the unique polynomial of degree <= bound through the
-    row's values at the nodes xs, for each row and bound.
-
-    The nodes are distinct exact rationals, shared by every row; rows and
-    bounds are read lazily, one row per fit.  A row needs at least bound+1
-    nodes.  The first bound+1 determine its polynomial and the others are a
-    check: every divided difference above the bound must vanish, and the
-    first one that does not names the first point inconsistent with the
-    interpolant (InterpolationError).  A bound below -1 acts like -1: the
-    zero polynomial, which every point must fit.
-
-    The work that depends on the nodes alone is done once.  With the nodes
-    scaled to integers u_i = Q x_i, the divided difference of the values
-    y_0..y_k is sum_i W[k][i] y_i / D, with the integer weights
-    W[k][i] = D / prod_{j <= k, j != i} (u_i - u_j) over one common
-    denominator D.  Each row then costs O(m^2) integer operations for m
-    nodes: its divided differences, and the nested multiplication of the
-    Newton form, whose coefficient of u^i times Q^i is that of x^i.
-    """
-    xs = [_as_fraction(x) for x in xs]
-    if len(set(xs)) != len(xs):
-        raise InterpolationError("duplicate abscissae")
-    m = len(xs)
-    us, q = _over_lcm(xs)
-    prods = []  # prods[k][i] = prod_{j <= k, j != i} (u_i - u_j)
-    for k, uk in enumerate(us):
-        level = [p * (ui - uk) for p, ui in zip(prods[-1], us)] if k else []
-        top = 1
-        for uj in us[:k]:
-            top *= uk - uj
-        prods.append(level + [top])
-    # each level's products divide the last level's, so their lcm is D
-    den = math.lcm(*prods[-1]) if m else 1
-    weights = [[den // p for p in level] for level in prods]
-    q_pow = [q ** i for i in range(m)]
-    for ys, bound in zip(rows, bounds):
-        ys = [_as_fraction(y) for y in ys]
-        if len(ys) != m:
-            raise InterpolationError(f"{len(ys)} values for {m} nodes")
-        if m < bound + 1:
-            raise InterpolationError(f"need {bound + 1} points for degree {bound}, got {m}")
-        nums, scale = _over_lcm(ys)
-        diffs = [sum(map(operator.mul, w, nums)) for w in weights]  # D * scale * f[u_0..u_k]
-        base = max(bound + 1, 0)
-        for k in range(base, m):
-            if diffs[k]:
-                raise InterpolationError(
-                    f"point ({xs[k]}, {ys[k]}) inconsistent with degree-{bound} interpolant")
-        # nested multiplication: c <- c * (u - u_k) + diffs[k], from the top down
-        c = []
-        for k in range(base - 1, -1, -1):
-            uk = us[k]
-            c.append(0)
-            for i in range(len(c) - 1, 0, -1):
-                c[i] = c[i - 1] - uk * c[i]
-            c[0] = diffs[k] - uk * c[0]
-        total = den * scale
-        yield Poly([Fraction(ci * qi, total) for ci, qi in zip(c, q_pow)])

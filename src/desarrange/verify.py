@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 
-from . import formulas, oracle, patterns, rungraph
+from . import formulas, oracle, patterns, rankdp, rungraph
 from .perms import (
     avoiders, class_predicate, enumerate_class, first_ascent, is_desarrangement, perm_to_str,
 )
@@ -80,19 +80,16 @@ CHECKS = {}  # check name -> check(n_max), in registration order
 
 
 def _check(name: str, subject: str, n_min: int, limit: int):
-    """Register fill(rep, top) as a check over n_min..min(n_max, limit);
-    a miscopied formula makes the check fail at its first inconsistent
-    row, and one with a pole at every sampled point, or a spec that breaks
-    the run theorem's hypothesis, at the top of the range, not crash."""
+    """Register fill(rep, top) as a check over n_min..min(n_max, limit); a
+    formula with a pole at every sampled point, or a spec that breaks the
+    run theorem's hypothesis, makes the check fail at the top of the range,
+    not crash."""
     def register(fill):
         def check(n_max: int) -> VerificationReport:
             rep = VerificationReport(subject, (n_min, min(n_max, limit)), n_requested=n_max)
             top = rep.n_range[1]
             try:
                 fill(rep, top)
-            except formulas.TranscriptionError as exc:
-                rep.record(top if exc.row is None else exc.row, False,
-                           f"formula transcription: {exc}")
             except formulas.PoleError as exc:
                 rep.record(top, False, f"formula pole: {exc}")
             except rungraph.HypothesisViolationError as exc:
@@ -113,19 +110,26 @@ def check_table1(rep: VerificationReport, top: int):
                    f"enumerated {len(got)} of {len(KNOWN_DESARRANGEMENTS[n])}")
 
 
-@_check("tables", "statistic-tables", 0, 9)
+@_check("tables", "statistic-tables", 0, 30)
 def check_statistic_tables(rep: VerificationReport, top: int):
-    """Interpolated distribution rows against brute-force counts over D_n."""
-    tables = {tag: formulas.distribution_polynomials(tag, top)
+    """Counted rows over D_n against the formulas at their sample points,
+    and against brute-force counts up to n = 9."""
+    tables = {tag: rankdp.rows(tag, top)
               for tag, (arity, _, klass) in formulas.FORMULAS.items()
               if arity == 1 and klass == "desarrangements"}
+    for n in range(top + 1):
+        rep.record(n, True)  # each comparison below records only a mismatch
+    for tag, rows in tables.items():
+        for n, note in formulas.mismatches(tag, rows):
+            rep.record(n, False, f"{tag}: {note}")
     tables["rval"] = formulas.rval_rows(tables["pk"])
     stats = list(tables)
-    for n in range(top + 1):
+    for n in range(min(top, 9) + 1):  # brute force stays where the census is cheap
         joint = oracle.distribution(n, stats, "desarrangements")
         for i, name in enumerate(stats):
             got, want = tables[name][n], oracle.marginal(joint, i)
-            rep.record(n, got == want, f"{name}: formula {got} vs oracle {want}")
+            if got != want:
+                rep.record(n, False, f"{name}: DP {got} vs oracle {want}")
 
 
 # The run theorem's cases: (spec, entries summed, correction, closed form,
@@ -269,7 +273,7 @@ def check_bijections(rep: VerificationReport, top: int):
                        f"C_{n} != d_{n}({sigma_name}) + d_{n + 1}({sigma_name})")
 
 
-# (joint tag, variable, value, the table that specialization equals, its
+# (joint table, variable, value, the formula that specialization meets, its
 # brute-force shadow as (statistics, class) or None)
 _SPECIALIZATIONS = (
     ("joint_pk_des", "s", 1, "des", None),
@@ -296,26 +300,29 @@ def _substitute(row: dict, var: str, value: int) -> dict:
 
 @_check("specializations", "specializations", 0, 8)
 def check_specializations(rep: VerificationReport, top: int):
-    """The joint tables specialized against the one-variable tables and
-    brute force, and compared with brute force entry by entry, at every n,
-    and two series identities at the top."""
-    tables = {tag: formulas.distribution_polynomials(tag, top)
-              for tag in ("des", "eulerian", "fix", "joint_pk_des", "joint_pix_des")}
-    text = formulas.row_text
+    """The counted joint tables against their formulas, specialized against
+    the one-variable formulas and brute force, and against brute force entry
+    by entry, at every n; and two series identities at the top."""
+    tables = {tag: rankdp.rows(tag, top) for tag, *_ in _JOINT_VS_BRUTE}
     for n in range(top + 1):
-        for tag, var, value, target, shadow in _SPECIALIZATIONS:
-            got, want = _substitute(tables[tag][n], var, value), tables[target][n]
-            left = "t" if var == "s" else "s"
-            rep.record(n, got == want, f"{tag} at {var}={value} vs {target}: "
-                                       f"{text(got, left)} vs {text(want, left)}")
-            if shadow is not None:
+        rep.record(n, True)  # each comparison below records only a mismatch
+    for tag, rows in tables.items():
+        for n, note in formulas.mismatches(tag, rows):
+            rep.record(n, False, f"{tag}: {note}")
+    for tag, var, value, target, shadow in _SPECIALIZATIONS:
+        rows = {n: _substitute(row, var, value) for n, row in tables[tag].items()}
+        for n, note in formulas.mismatches(target, rows, "t" if var == "s" else "s"):
+            rep.record(n, False, f"{tag} at {var}={value} vs {target}: {note}")
+        if shadow is not None:
+            for n, got in rows.items():
                 want = oracle.distribution(n, *shadow)
-                rep.record(n, got == want,
-                           f"{tag} at {var}={value} vs brute {shadow[0][0]}: {got} vs {want}")
+                if got != want:
+                    rep.record(n, False, f"{tag} at {var}={value} vs brute "
+                                         f"{shadow[0][0]}: {got} vs {want}")
+    for n in range(top + 1):
         for tag, stats, klass in _JOINT_VS_BRUTE:
-            want = oracle.distribution(n, stats, klass)
-            rep.record(n, tables[tag][n] == want,
-                       f"joint {','.join(stats)} vs brute")
+            if tables[tag][n] != oracle.distribution(n, stats, klass):
+                rep.record(n, False, f"joint {','.join(stats)} vs brute")
 
     order = top + 1
     e_x = exp_series(1, order)

@@ -8,8 +8,8 @@ import time
 
 import pytest
 
-from desarrange import formulas, oracle, patterns, rungraph, verify
-from desarrange.formulas import distribution_polynomials, evaluate_formula
+from desarrange import formulas, oracle, patterns, rankdp, rungraph, verify
+from desarrange.formulas import evaluate_formula, mismatches
 from desarrange.perms import enumerate_class, pixed_factorization
 from desarrange.series import cosh_even
 from desarrange.verify import _substitute
@@ -28,17 +28,20 @@ def _report(number: int, name: str, started: float, budget: float):
 def test_criterion_01_table_reproduction():
     t0 = time.perf_counter()
     for tag, table in STAT_TABLES.items():
-        rows = distribution_polynomials(tag, 9)
+        rows = rankdp.rows(tag, 9)
         for n in range(10):
             assert rows[n] == counts(table[n]), (tag, n)
+        assert list(mismatches(tag, rows)) == [], tag
     _report(1, "tables 2-6 reproduced exactly", t0, 10)
 
 
 def test_criterion_02_oracle_equivalence():
     t0 = time.perf_counter()
     stats = ["des", "pk", "val", "dasc", "ddes", "rval"]
-    tables = {s: distribution_polynomials(s, 9)
+    tables = {s: rankdp.rows(s, 9)
               for s in ("des", "pk", "val", "dasc", "ddes")}
+    for tag, rows in tables.items():
+        assert list(mismatches(tag, rows)) == [], tag
     tables["rval"] = formulas.rval_rows(tables["pk"])
     for n in range(10):
         joint = oracle.distribution(n, stats, "desarrangements")
@@ -46,7 +49,7 @@ def test_criterion_02_oracle_equivalence():
             assert tables[name][n] == oracle.marginal(joint, i), (name, n)
     # descents one size further
     brute10 = oracle.distribution(10, ["des"], "desarrangements")
-    assert distribution_polynomials("des", 10)[10] == brute10
+    assert rankdp.rows("des", 10)[10] == brute10
     _report(2, "oracle equals formulas for six statistics", t0, 60)
 
 
@@ -71,10 +74,12 @@ def test_criterion_04_run_theorem_descent_series():
 
 def test_criterion_05_joint_distributions():
     t0 = time.perf_counter()
-    pkdes = distribution_polynomials("joint_pk_des", 9)
+    pkdes = rankdp.rows("joint_pk_des", 9)
+    assert list(mismatches("joint_pk_des", pkdes)) == []
     for n in range(10):
         assert _substitute(pkdes[n], "s", 1) == counts(STAT_TABLES["des"][n]), n
-    pixdes = distribution_polynomials("joint_pix_des", 9)
+    pixdes = rankdp.rows("joint_pix_des", 9)
+    assert list(mismatches("joint_pix_des", pixdes)) == []
     for n in range(10):
         assert _substitute(pixdes[n], "s", 0) == counts(STAT_TABLES["des"][n]), n
     for n in range(9):

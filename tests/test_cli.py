@@ -41,6 +41,24 @@ def test_tables_golden(capsys, args, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize("which", [2, 3, 4, 5, 6])
+def test_a_miscopied_formula_prints_no_table(monkeypatch, capsys, which):
+    # the counted rows print only once the formula meets them: a stray x^20
+    # is one stderr line naming the table and n = 20, exit 1 and no table
+    from test_mutants import _formula, _plus, _pole
+    tag = cli.STAT_TABLE_IDS[which]
+    _formula(tag, _plus([0] * 20 + [1]))(monkeypatch)
+    assert cli.main(["tables", str(which), "--n-max", "30"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"mismatch: {tag} at n=20: DP ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    _formula(tag, _pole)(monkeypatch)  # no sample point at all: the top of the range
+    assert cli.main(["tables", str(which), "--n-max", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"mismatch: {tag} at n=5: formula pole: "
+                              f"could not find 7 good points for {tag}\n")
+
+
 def test_table1_lists_all_of_length_five(capsys):
     _, out = run(capsys, "tables", "1")
     d5_line = [l for l in out.splitlines() if l.startswith("D_5:")][0]
@@ -264,7 +282,7 @@ print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "desarrang
 @pytest.mark.parametrize("argv, runs", [
     ([], set()),
     (["runthm", "fig1", "-i", "1", "-j", "3", "--order", "5"], {"rungraph"}),
-    (["tables", "2", "--n-max", "5"], {"formulas"}),
+    (["tables", "2", "--n-max", "5"], {"formulas", "rankdp"}),
 ], ids=["parser", "runthm", "tables"])
 def test_a_fresh_process_loads_only_the_layers_it_runs(argv, runs):
     code = _LOADED_LAYERS.format(src=str(SRC), argv=argv)
@@ -360,10 +378,8 @@ UNENTERED = {
     "series.TruncSeries.__rtruediv__": _TRACER,
     "series.SeriesMatrix.__mul__": _TRACER,
     "series.Poly.__call__": _TRACER,
+    "series.Poly.__init__": "no command builds a Poly; it stays while the tracer reads __call__",
     "series.TruncSeries.coeffs": "sqrt, shift_down and repr read the coefficients",
-    "formulas.TranscriptionError.__init__": "only a miscopied formula raises it",
-    "perms.complement": "the complement map; only the catalog's complement rows run it",
-    "perms.asc": "the STAT_FUNCTIONS row of asc, which no table reads",
     "perms.is_derangement": "the derangements class test; the walker drops fixed points itself",
 }
 

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from desarrange import formulas, oracle
+from desarrange import formulas, oracle, rankdp
 from desarrange.formulas import (
-    PoleError, distribution_polynomials, evaluate_formula,
-    fix_egf, good_t_points, peak_egf, right_valley_egf, row_text, rval_rows,
+    PoleError, evaluate_formula, fix_egf, good_t_points, mismatches, peak_egf,
+    right_valley_egf, row_text, rval_rows,
 )
 from desarrange.series import exp_series
 from desarrange.verify import _substitute
@@ -25,7 +25,7 @@ def test_evaluate_formula_examples():
 
 def test_poles():
     # t = 1 is a removable singularity of the written formulas: the series
-    # build signals it as a pole, and rows recover the limit instead
+    # build signals it as a pole, and the sample points step around it
     with pytest.raises(PoleError):
         evaluate_formula("eulerian", t=1, order=3)
     with pytest.raises(PoleError):
@@ -34,8 +34,9 @@ def test_poles():
         evaluate_formula("pk", t=0, order=3)
     with pytest.raises(PoleError):
         evaluate_formula("joint_pix_des", t=2, s=2, order=3)
-    eul = distribution_polynomials("eulerian", 3)
+    eul = rankdp.rows("eulerian", 3)
     assert [sum(eul[n].values()) for n in range(4)] == [1, 1, 2, 6]
+    assert list(mismatches("eulerian", eul)) == []
 
 
 def test_good_t_points_skip_poles():
@@ -46,41 +47,43 @@ def test_good_t_points_skip_poles():
 
 def test_statistic_tables_match_reference():
     for tag, table in STAT_TABLES.items():
-        rows = distribution_polynomials(tag, 9)
+        rows = rankdp.rows(tag, 9)
         for n, coeffs in table.items():
             assert rows[n] == counts(coeffs), (tag, n)
+        assert list(mismatches(tag, rows)) == [], tag
 
 
 def test_eulerian_rows():
     import math
-    rows = distribution_polynomials("eulerian", 5)
+    rows = rankdp.rows("eulerian", 5)
     assert rows[4] == {0: 1, 1: 11, 2: 11, 3: 1}
     for n in range(6):
         assert sum(rows[n].values()) == math.factorial(n)
 
 
 def test_rval_rows():
-    rows = rval_rows(distribution_polynomials("pk", 6))
+    rows = rval_rows(rankdp.rows("pk", 6))
     assert rows[0] == {0: 1}
     joint = oracle.distribution(5, ["rval"], "desarrangements")
     assert joint == rows[5]
 
 
 def test_joint_tables_small_rows():
-    pkdes = distribution_polynomials("joint_pk_des", 4)
+    pkdes = rankdp.rows("joint_pk_des", 4)
     assert pkdes[2] == {(0, 1): 1}       # the single desarrangement 21
     assert pkdes[4] == {(0, 1): 3, (1, 2): 5, (0, 3): 1}
     assert list(pkdes[4]) == [(0, 1), (0, 3), (1, 2)]  # keys ascending
-    pixdes = distribution_polynomials("joint_pix_des", 3)
+    pixdes = rankdp.rows("joint_pix_des", 3)
     # S_2: 12 has pix 2, 21 has pix 0 and one descent
     assert pixdes[2] == {(2, 0): 1, (0, 1): 1}
 
 
 def test_joint_pk_des_against_oracle():
-    rows = distribution_polynomials("joint_pk_des", 6)
+    rows = rankdp.rows("joint_pk_des", 6)
     for n in range(7):
         brute = oracle.distribution(n, ["pk", "des"], "desarrangements")
         assert rows[n] == brute
+    assert list(mismatches("joint_pk_des", rows)) == []
 
 
 def test_bivar_substitutions():
@@ -125,17 +128,17 @@ def test_fix_egf_against_oracle():
 
 
 def test_arity_zero_rejects_distribution():
-    with pytest.raises(ValueError):
-        distribution_polynomials("derangement_egf", 3)
+    # a plain series has no table to count
+    with pytest.raises(KeyError):
+        rankdp.rows("derangement_egf", 3)
 
 
 def test_row_sums():
     import math
     from reference_tables import DERANGEMENT_NUMBERS as D
-    for tag, (_, _, klass) in formulas.FORMULAS.items():
-        if klass is None:
-            continue
-        rows = distribution_polynomials(tag, 7)
+    for tag, (klass, _, _) in rankdp.TABLES.items():
+        assert formulas.FORMULAS[tag][2] == klass, tag
+        rows = rankdp.rows(tag, 7)
         for n in range(8):
             want = D[n] if klass == "desarrangements" else math.factorial(n)
             row = rows[n]
@@ -148,21 +151,24 @@ def test_row_sums():
 def test_rows_to_n30():
     from reference_tables import derangement_numbers
     d = derangement_numbers(60)
-    tables = {tag: distribution_polynomials(tag, 60)
+    tables = {tag: rankdp.rows(tag, 60)
               for tag in ("des", "pk", "val", "dasc", "ddes")}
     for tag, rows in tables.items():
         assert [sum(rows[n].values()) for n in range(61)] == d, tag
     # Eulerian numbers A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1)
-    eul = distribution_polynomials("eulerian", 60)
+    eul = rankdp.rows("eulerian", 60)
     a = [1]  # A(0, 0)
     for n in range(61):
         assert eul[n] == counts(a), n
         a = [(k + 1) * (a[k] if k < len(a) else 0) + (n + 1 - k) * (a[k - 1] if k else 0)
              for k in range(n + 1)]
-    # the joint tables, whose s-coefficients are read off packed digits
-    pkdes = distribution_polynomials("joint_pk_des", 30)
-    pixdes = distribution_polynomials("joint_pix_des", 30)
+    pkdes = rankdp.rows("joint_pk_des", 30)
+    pixdes = rankdp.rows("joint_pix_des", 30)
     for n in range(31):
         assert _substitute(pkdes[n], "s", 1) == tables["des"][n], n
         assert _substitute(pixdes[n], "s", 0) == tables["des"][n], n
         assert _substitute(pixdes[n], "s", 1) == eul[n], n
+    # every formula meets its rows to n = 30, the joint ones at s = 2^B
+    for tag, rows in (*tables.items(), ("eulerian", eul), ("joint_pk_des", pkdes),
+                      ("joint_pix_des", pixdes)):
+        assert list(mismatches(tag, {n: rows[n] for n in range(31)})) == [], tag

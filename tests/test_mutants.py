@@ -13,9 +13,19 @@ import inspect
 
 import pytest
 
-from desarrange import cli, formulas, oracle, patterns, perms, rungraph, verify
+from desarrange import cli, formulas, oracle, patterns, perms, rankdp, rungraph, verify
 from desarrange.series import poly_series
 from test_rungraph import ambiguous_spec
+
+
+def complement(p):
+    """Replace each value v by n+1-v.
+
+    >>> complement((3, 1, 2, 5, 4))
+    (3, 5, 4, 1, 2)
+    """
+    n = len(p)
+    return tuple(n + 1 - v for v in p)
 
 
 def _formula(tag, wrap):
@@ -64,15 +74,22 @@ def _case(spec, edge, **fields):
     return spec._replace(edges=tuple(edges))
 
 
+def _rewritten(module, name, old, new):
+    """Patch module.name, a function, with its one `old` replaced by `new`."""
+    def patch(mp):
+        source = inspect.getsource(getattr(module, name))
+        assert source.count(old) == 1, old
+        namespace = dict(vars(module))
+        exec(source.replace(old, new), namespace)
+        mp.setattr(module, name, namespace[name])
+    return patch
+
+
 def _walker(old, new):
     """perms._walk with its one `old` replaced by `new`; every tally walks,
     so the census is neither read nor built."""
     def patch(mp):
-        source = inspect.getsource(perms._walk)
-        assert source.count(old) == 1, old
-        namespace = dict(vars(perms))
-        exec(source.replace(old, new), namespace)
-        mp.setattr(perms, "_walk", namespace["_walk"])
+        _rewritten(perms, "_walk", old, new)(mp)
         mp.setattr(perms, "CENSUS_MAX", -1)
     return patch
 
@@ -105,10 +122,9 @@ def _fail(subject, top, n, note, low=0):
 
 
 COMPLEMENT = patterns.Bijection(
-    "complement", perms.complement, perms.complement, patterns._av("123"), patterns._av("321"),
+    "complement", complement, complement, patterns._av("123"), patterns._av("321"),
     (0,), "replace each letter v by n + 1 - v: Av_n(123) onto Av_n(321)")
 _AV, _TABLES, _SPEC, _BIJ = patterns.BIJECTIONS, "statistic-tables", "specializations", "bijections"
-_ROW = "formula transcription: row {}: {}"
 _OUT, _TRIP = "image {} outside the target class)", "round-trip failed at {})"
 # the first failing n and note at n_max 6 of each map reversed on its forward, then inverse side
 _REVERSED = {
@@ -129,7 +145,7 @@ _REVERSED = {
 BRUTE_SIDE_ERRORS = [
     ("tables-joint", _brute_off_by_one(
         ("des", "pk", "val", "dasc", "ddes", "rval"), "desarrangements"), "tables", 5,
-     _fail(_TABLES, 5, 4, "des: formula {1: 3, 2: 5, 3: 1} vs oracle {1: 4, 2: 5, 3: 1})")),
+     _fail(_TABLES, 5, 4, "des: DP {1: 3, 2: 5, 3: 1} vs oracle {1: 4, 2: 5, 3: 1})")),
     ("des-over-S_n", _brute_off_by_one(("des",), "all"), "specializations", 5,
      _fail(_SPEC, 5, 4, "joint_pix_des at s=1 vs brute des: {0: 1, 1: 11, 2: 11, 3: 1} "
                         "vs {0: 2, 1: 11, 2: 11, 3: 1})\n")),
@@ -146,37 +162,91 @@ BROKEN_BIJECTIONS = [
      _fail(_BIJ, 6, _REVERSED[name][k], f"{name}: {_REVERSED[name][k + 1]}"))
     for name, b in _AV.items() for k, side in ((0, "forward"), (2, "inverse"))]
 
+def _counted(table, key, value):
+    """rankdp's rule table with the entry at key set to value."""
+    return lambda mp: mp.setitem(getattr(rankdp, table), key, value)
+
+
+def _dp(name, old, new):
+    """rankdp.name, a function, with its one `old` replaced by `new`."""
+    return _rewritten(rankdp, name, old, new)
+
+
+def _missed(tag, got, want, at="t=2"):
+    """The note of a counted row that the formula does not meet."""
+    return f"{tag}: DP {got} vs formula {want} at {at})"
+
+
+_S8, _S17 = "s=2^8, t=2", "s=2^17, t=2"  # the joint sample points at n_max 5 and 8
+_PKDES, _PIXDES = "joint_pk_des", "joint_pix_des"
+
 MUTANTS = [
     ("des+x^2", _formula("des", _plus([0, 0, 1])), "tables", 3,
-     _fail(_TABLES, 3, 2, _ROW.format(2, "sums to 3,"))),
+     _fail(_TABLES, 3, 2, _missed("des", 2, 4))),
     ("des+x^5", _formula("des", _plus([0] * 5 + [1])), "tables", 9,
-     _fail(_TABLES, 9, 5, _ROW.format(5, "sums to 164,"))),
-    ("des/t", DES_OVER_T, "tables", 12,
-     _fail(_TABLES, 9, 0, _ROW.format(0, "point (3, 1/3) inconsistent with degree-0 interpolant"))),
+     _fail(_TABLES, 9, 5, _missed("des", 220, 340))),
+    ("des+x^20", _formula("des", _plus([0] * 20 + [1])), "tables", 30,
+     _fail(_TABLES, 30, 20, _missed("des", 1115703248435160259394, 1118136150443336899394))
+     + "\n"),
+    ("des/t", DES_OVER_T, "tables", 12, _fail(_TABLES, 12, 0, _missed("des", 1, "1/2"))),
     ("des-pole-everywhere", _formula("des", _pole), "tables", 5,
      _fail(_TABLES, 5, 5, "formula pole: could not find 7 good points for des)")),
-    ("pk-des-swapped-s-t", lambda mp: (  # the swapped table still fits and sums
-        _formula("joint_pk_des", lambda f, s, t, o: f(t, s, o))(mp),
-        formulas.distribution_polynomials("joint_pk_des", 8)),
-     "specializations", 8, _fail(_SPEC, 8, 2, "joint_pk_des at s=1 vs des: 1 vs t)")),
+    ("pk-des-swapped-s-t", _formula("joint_pk_des", lambda f, s, t, o: f(t, s, o)),
+     "specializations", 8, _fail(_SPEC, 8, 2, _missed(_PKDES, 2, 131072, _S17))),
     ("pk-des*s", _formula("joint_pk_des", lambda f, s, t, o: f(s, t, o) * s),
-     "specializations", 5, _fail(_SPEC, 5, 0, _ROW.format(0, "term s^1 t^0 above s-degree 0)"))),
+     "specializations", 5, _fail(_SPEC, 5, 0, _missed(_PKDES, 1, 256, _S8))),
     ("pk-des/t", _formula("joint_pk_des", lambda f, s, t, o: f(s, t, o) / t), "specializations", 5,
-     _fail(_SPEC, 5, 0, _ROW.format(0, "point (3, 1/3) inconsistent with degree-0 interpolant"))),
+     _fail(_SPEC, 5, 0, _missed(_PKDES, 1, "1/2", _S8))),
     ("pk-des+(s-1)x^2", _formula("joint_pk_des", _plus([0, 0, lambda s, t: s - 1])),
-     "specializations", 5,
-     _fail(_SPEC, 5, 2, _ROW.format(2, "s^0 t^0 coefficient 254 exceeds 2! = 2)"))),
+     "specializations", 5, _fail(_SPEC, 5, 2, _missed(_PKDES, 2, 512, _S8))),
     ("pk-des+s^3x^2", _formula("joint_pk_des", _plus([0, 0, lambda s, t: s ** 3])),
-     "specializations", 5, _fail(_SPEC, 5, 2, _ROW.format(2, "term s^3 t^0 above s-degree 2)"))),
+     "specializations", 5, _fail(_SPEC, 5, 2, _missed(_PKDES, 2, 33554434, _S8))),
     ("pk-des+x^5", _formula("joint_pk_des", _plus([0] * 5 + [1])), "specializations", 8,
-     _fail(_SPEC, 8, 5, _ROW.format(5, "sums to 164,"))),
+     _fail(_SPEC, 8, 5, _missed(_PKDES, 23593000, 23593120, _S17))),
     ("pk-des+sx^3", _formula("joint_pk_des", _plus([0, 0, 0, lambda s, t: s])),
-     "specializations", 8, _fail(_SPEC, 8, 3, _ROW.format(3, "sums to 8,"))),
+     "specializations", 8, _fail(_SPEC, 8, 3, _missed(_PKDES, 4, 786436, _S17))),
     ("pk-des-s+1", _formula("joint_pk_des", lambda f, s, t, o: f(s + 1, t, o)),
-     "specializations", 8, _fail(_SPEC, 8, 4, _ROW.format(4, "sums to 14,"))),
+     "specializations", 8, _fail(_SPEC, 8, 4, _missed(_PKDES, 2621454, 2621474, _S17))),
     ("pix-des+st(1-s)(1-t)x^5", _formula("joint_pix_des", _plus(
         [0] * 5 + [lambda s, t: s * t * (1 - s) * (1 - t) / 120])),
-     "specializations", 8, _fail(_SPEC, 8, 5, "joint pix,des vs brute)\n")),
+     "specializations", 8, _fail(_SPEC, 8, 5, _missed(
+         _PIXDES, 38685626299726792810037468, 38685626299726827169513692, _S17))),
+    # each increment, phase rule and step rule of the counted rows, miswired
+    ("dp-des-on-up", _counted("INCREMENTS", "des", ("up",)), "tables", 5,
+     _fail(_TABLES, 5, 2, _missed("des", 1, 2))),
+    ("dp-pk-on-up,up", _counted("INCREMENTS", "pk", ("up", "up")), "tables", 5,
+     _fail(_TABLES, 5, 4, _missed("pk", 12, 14))),
+    ("dp-val-on-down,down", _counted("INCREMENTS", "val", ("down", "down")), "tables", 5,
+     _fail(_TABLES, 5, 3, _missed("val", 2, 4))),
+    ("dp-dasc-on-up,down", _counted("INCREMENTS", "dasc", ("up", "down")), "tables", 5,
+     _fail(_TABLES, 5, 4, _missed("dasc", 14, 12))),
+    ("dp-ddes-on-down,up", _counted("INCREMENTS", "ddes", ("down", "up")), "tables", 5,
+     _fail(_TABLES, 5, 3, _missed("ddes", 4, 2))),
+    ("dp-first-ascent-odd", _dp("rows", "if k % 2:", "if not k % 2:"), "tables", 5,
+     _fail(_TABLES, 5, 2, _missed("des", 3, 2))),
+    ("dp-first-ascent-kept-open", _dp("rows", "fresh = False", "fresh = True"), "tables", 5,
+     _fail(_TABLES, 5, 3, _missed("des", 0, 4))),
+    ("dp-no-ascent-counts-at-odd-n", _dp("rows", "if fresh and n % 2:", "if fresh and not n % 2:"),
+     "tables", 5, _fail(_TABLES, 5, 1, _missed("des", 1, 0))),
+    ("dp-up-from-one-rank", _dp("_grown", "map(add, up[-1], entry)", "map(add, up[0], entry)"),
+     "tables", 5, _fail(_TABLES, 5, 3, _missed("des", 2, 4))),
+    ("dp-t-on-the-other-steps", _dp("_grown", "[0, *e] if dt else [*e, 0]",
+                                    "[*e, 0] if dt else [0, *e]"), "tables", 5,
+     _fail(_TABLES, 5, 2, _missed("des", 1, 2))),
+    ("dp-s-not-carried", _dp("_grown", "key = (this, phase_, s + ds)", "key = (this, phase_, ds)"),
+     "specializations", 5, _fail(_SPEC, 5, 3, _missed(_PIXDES, 66568, 16779268, _S8))),
+    ("dp-pix-rise-up-without-s", _counted("PIX_STEPS", ("rise", "up"), ("rise", 0)),
+     "specializations", 5, _fail(_SPEC, 5, 2, _missed(_PIXDES, 258, 65538, _S8))),
+    ("dp-pix-fall-starts-odd", _counted("PIX_STEPS", ("rise", "down"), ("odd", 0)),
+     "specializations", 5, _fail(_SPEC, 5, 2, _missed(_PIXDES, 66048, 65538, _S8))),
+    ("dp-pix-fall-keeps-parity", _counted("PIX_STEPS", ("even", "down"), ("even", 0)),
+     "specializations", 5, _fail(_SPEC, 5, 3, _missed(_PIXDES, 16778248, 16779268, _S8))),
+    ("dp-pix-odd-fall-ends-without-s", _counted("PIX_STEPS", ("odd", "up"), ("done", 0)),
+     "specializations", 5, _fail(_SPEC, 5, 4, _missed(_PIXDES, 4296149550, 4296152610, _S8))),
+    ("dp-pix-rise-end-without-s", _counted("PIX_END", "rise", 0), "specializations", 5,
+     _fail(_SPEC, 5, 1, _missed(_PIXDES, 1, 256, _S8))),
+    ("dp-pix-odd-end-without-s", _counted("PIX_END", "odd", 0), "specializations", 5,
+     _fail(_SPEC, 5, 3, _missed(_PIXDES, 16778248, 16779268, _S8))),
     ("table1-listing-dropped", _setattr(verify, "KNOWN_DESARRANGEMENTS", {
         **verify.KNOWN_DESARRANGEMENTS, 4: verify.KNOWN_DESARRANGEMENTS[4][1:]}),
      "table1", 5, _fail("table1-membership", 5, 4, "enumerated 9 of 8)")),

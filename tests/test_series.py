@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from desarrange.series import (
-    ConstantTermError, InterpolationError, OrderMismatchError, Poly,
+    ConstantTermError, OrderMismatchError, Poly,
     SeriesMatrix, SingularMatrixError, TruncSeries, cosh_even, exp_series,
-    format_rational, hat_transform, interpolate_rows, poly_series,
+    format_rational, hat_transform, poly_series,
     sinh_even_div,
 )
 
@@ -178,83 +178,12 @@ def test_poly_eval_and_render():
     assert Poly([1, 0]).coeffs == (1,)  # trailing zeros trimmed
 
 
-def test_interpolate():
-    fits = interpolate_rows([0, 1, 2], [[1, 1, 1], [5, 7, 9], [0, 1, 5]], [2, 1, 1])
-    assert next(fits) == Poly([1])
-    assert next(fits) == Poly([5, 2])
-    with pytest.raises(InterpolationError):
-        next(fits)
-    # distribution row of length-4 desarrangements by descents, from values
-    ts = range(2, 6)
-    assert next(interpolate_rows(ts, [[3 * t + 5 * t * t + t ** 3 for t in ts]], [3])) \
-        == Poly([0, 3, 5, 1])
-    with pytest.raises(InterpolationError):
-        next(interpolate_rows([1, 1], [[1, 2]], [1]))
-    with pytest.raises(InterpolationError):
-        next(interpolate_rows([0], [[1]], [1]))
-
-
-def test_interpolate_roundtrip():
-    rng = random.Random(99)
-    for deg in (0, 1, 3, 6):
-        coeffs = [Fraction(rng.randint(-5, 5)) for _ in range(deg + 1)]
-        p = Poly(coeffs)
-        xs = range(deg + 2)
-        assert next(interpolate_rows(xs, [[p(x) for x in xs]], [deg])) == p
-
-
 def test_json_round_trips():
     assert [format_rational(c) for c in Poly([1, F(1, 3)]).coeffs] == ["1", "1/3"]
 
 
-def test_interpolate_degenerate_bounds():
-    assert next(interpolate_rows([1], [[5]], [0])) == Poly([5])
-    assert next(interpolate_rows([1, 2], [[0, 0]], [-1])) == Poly([])
-    with pytest.raises(InterpolationError):
-        next(interpolate_rows([1], [[1]], [-1]))
-    assert next(interpolate_rows([1, 2, 3], [[0, 0, 0]], [-3])) == Poly([])
-    with pytest.raises(InterpolationError):
-        next(interpolate_rows([1, 2], [[0, 1]], [-2]))
-
-
-# Reference implementations: the O(n^3) Lagrange interpolation and the
-# Fraction-by-Fraction series product and inverse that the integer kernels
-# replaced.  The differential tests below hold the new code to them.
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def lagrange_interpolate(points, degree_bound):
-    pts = [(Fraction(x), Fraction(y)) for x, y in points]
-    xs = [x for x, _ in pts]
-    if len(set(xs)) != len(xs):
-        raise InterpolationError("duplicate abscissae")
-    if len(pts) < degree_bound + 1:
-        raise InterpolationError("too few points")
-    base = pts[: degree_bound + 1]
-    coeffs = [Fraction(0)] * (degree_bound + 1)
-    for i, (xi, yi) in enumerate(base):
-        numer = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(base):
-            if i == j:
-                continue
-            numer = _poly_mul(numer, [-xj, Fraction(1)])
-            denom *= xi - xj
-        w = yi / denom
-        for k, c in enumerate(numer):
-            coeffs[k] += w * c
-    result = Poly(coeffs)
-    for x, y in pts[degree_bound + 1:]:
-        if result(x) != y:
-            raise InterpolationError("inconsistent spare point")
-    return result
-
+# Reference implementations: the Fraction-by-Fraction series product and
+# inverse that the integer kernels replaced.  The differential tests below hold the new code to them.
 
 def reference_mul(a, b):
     if a.order != b.order:
@@ -298,7 +227,6 @@ rationals = st.one_of(
     st.builds(Fraction, st.integers(-10 ** 15, 10 ** 15), st.sampled_from(_DENOMINATORS)),
     st.fractions(min_value=-50, max_value=50, max_denominator=60),
 )
-nonzero_rationals = rationals.filter(bool)
 
 
 @st.composite
@@ -320,24 +248,6 @@ def test_series_kernels_match_fraction_reference(pair):
         assert outcome(TruncSeries.inverse, s) == outcome(reference_inverse, s)
     assert (outcome(TruncSeries.__truediv__, a, b)
             == outcome(lambda a, b: reference_mul(a, reference_inverse(b)), a, b))
-
-
-@st.composite
-def interpolation_cases(draw):
-    """Points on a polynomial of degree <= bound, then maybe one defect."""
-    bound = draw(st.integers(-1, 10))
-    poly = Poly(draw(st.lists(rationals, max_size=bound + 1)))
-    count = draw(st.integers(max(bound, 0), bound + 3))  # bound points are too few
-    xs = draw(st.lists(rationals, min_size=count, max_size=count, unique=True))
-    points = [(x, poly(x)) for x in xs]
-    defect = draw(st.sampled_from(["none", "none", "inconsistent", "duplicate"]))
-    if defect == "inconsistent" and len(points) > bound + 1:
-        i = draw(st.integers(bound + 1, len(points) - 1))
-        points[i] = (points[i][0], points[i][1] + draw(nonzero_rationals))
-    elif defect == "duplicate" and points:
-        x = draw(st.sampled_from(xs))
-        points.insert(draw(st.integers(0, len(points))), (x, draw(rationals)))
-    return points, bound, poly
 
 
 # Reference constructions of the elementary series, one Fraction per term:
@@ -388,75 +298,8 @@ def test_equal_series_by_different_routes_are_equal_and_hash_equal(pair):
         assert got == want and hash(got) == hash(want)
         assert got.coeffs == want.coeffs
         assert all(got.egf_coeff(n) == want.egf_coeff(n) for n in range(got.order + 1))
-
-
-def first_inconsistent_point(points, bound):
-    """The spare point that interpolate_rows names, from the reference
-    interpolant (bound + 1 points at least)."""
-    base = max(bound + 1, 0)
-    poly = lagrange_interpolate(points[:base], bound) if base else Poly([])
-    return next(((x, y) for x, y in points[base:] if poly(x) != Fraction(y)), None)
-
-
-NODE_SETS = {
-    "consecutive": [Fraction(v) for v in range(2, 14)],
-    "gapped": [Fraction(v) for v in range(2, 15) if v != 5],  # t nodes that skip t = s = 5
-    "rational": [Fraction(v, 3) for v in range(-4, 8)] + [Fraction(7, 11)],
-}
-
-
-@st.composite
-def row_batches(draw):
-    """Rows of values on one node set, each from a polynomial of degree <= its
-    bound, a few of them with one spare value corrupted; or one row through
-    drawn points, which may be too few or repeat a node."""
-    if draw(st.booleans()):
-        points, bound, poly = draw(interpolation_cases())
-        return [x for x, _ in points], [[y for _, y in points]], [bound], [poly]
-    xs = NODE_SETS[draw(st.sampled_from(sorted(NODE_SETS)))]
-    rows, bounds, polys = [], [], []
-    for _ in range(draw(st.integers(1, 6))):
-        bound = draw(st.integers(-1, 10))
-        poly = Poly(draw(st.lists(rationals, max_size=bound + 1)))
-        ys = [poly(x) for x in xs]
-        if draw(st.integers(0, 4)) == 0:
-            i = draw(st.integers(max(bound + 1, 0), len(xs) - 1))
-            ys[i] += draw(nonzero_rationals)
-        rows.append(ys)
-        bounds.append(bound)
-        polys.append(poly)
-    return xs, rows, bounds, polys
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(row_batches())
-def test_interpolate_rows_matches_lagrange_reference(batch):
-    xs, rows, bounds, polys = batch
-    fits = interpolate_rows(xs, rows, bounds)
-    for ys, bound, poly in zip(rows, bounds, polys):
-        points = list(zip(xs, ys))
-        want = outcome(lagrange_interpolate, points, bound)
-        if want is not InterpolationError:
-            assert next(fits) == want
-            if all(poly(x) == y for x, y in points):
-                assert want == poly
-            continue
-        with pytest.raises(InterpolationError) as exc:
-            next(fits)
-        if len(set(xs)) == len(xs) > bound:  # enough distinct nodes: a spare point is off
-            bad = first_inconsistent_point(points, bound)
-            assert str(exc.value) == \
-                f"point ({bad[0]}, {bad[1]}) inconsistent with degree-{bound} interpolant"
-        return
-
-
-def test_interpolate_rows_rejects_malformed_input():
-    with pytest.raises(InterpolationError, match="duplicate abscissae"):
-        next(interpolate_rows([1, 2, 1], [[0, 0, 0]], [0]))
-    fits = interpolate_rows([1, 2], [[3, 3], [1, 2]], [0, 2])
-    assert next(fits) == Poly([3])
-    with pytest.raises(InterpolationError, match="need 3 points for degree 2, got 2"):
-        next(fits)
-    with pytest.raises(InterpolationError):
-        next(interpolate_rows([1, 2], [[3]], [0]))
-    assert list(interpolate_rows([], [[]], [-1])) == [Poly([])]
+        # an integer EGF coefficient is recognised without a Fraction, and nothing else is
+        for n in range(got.order + 1):
+            value = got.egf_coeff(n)
+            assert got.egf_coeff_is(n, value.numerator) == (value.denominator == 1)
+            assert not got.egf_coeff_is(n, value.numerator + 1)

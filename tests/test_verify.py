@@ -66,8 +66,8 @@ def test_run_theorem_points_avoid_the_closed_form_poles():
 
 @pytest.mark.parametrize("row", BRUTE_SIDE_ERRORS, ids=lambda row: row[0])
 def test_a_brute_side_error_fails_its_row_comparison(monkeypatch, capsys, row):
-    # the formula rows hold Fractions and the brute counts ints; one count
-    # off by one at n = 4 must still fail the comparison there and only there
+    # one brute-force count off by one at n = 4 must fail the comparison
+    # there and only there
     assert assert_caught(monkeypatch, capsys, *row[1:]).count("\n    n=") == 1
 
 
@@ -122,9 +122,9 @@ def test_verify_catches_a_broken_bijection(monkeypatch, capsys, row):
 
 def test_transcription_failure_keeps_the_checks_subject_and_range(monkeypatch, capsys):
     DES_OVER_T(monkeypatch)
-    assert cli.main(["verify", "--only", "tables", "--n-max", "12", "--format", "json"]) == 1
+    assert cli.main(["verify", "--only", "tables", "--n-max", "31", "--format", "json"]) == 1
     report = json.loads(capsys.readouterr().out)["reports"][0]
-    assert report["n_range"] == [0, 9] and report["n_requested"] == 12 and report["clamped"]
+    assert report["n_range"] == [0, 30] and report["n_requested"] == 31 and report["clamped"]
 
 
 @pytest.mark.parametrize("n_max", [0, 3, 5])
