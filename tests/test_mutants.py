@@ -15,17 +15,8 @@ import pytest
 
 from desarrange import cli, formulas, oracle, patterns, perms, rankdp, rungraph, verify
 from desarrange.series import poly_series
+from test_perms import complement
 from test_rungraph import ambiguous_spec
-
-
-def complement(p):
-    """Replace each value v by n+1-v.
-
-    >>> complement((3, 1, 2, 5, 4))
-    (3, 5, 4, 1, 2)
-    """
-    n = len(p)
-    return tuple(n + 1 - v for v in p)
 
 
 def _formula(tag, wrap):
@@ -154,6 +145,8 @@ BRUTE_SIDE_ERRORS = [
                         "vs {0: 10, 1: 8, 2: 6, 4: 1})\n")),
     ("pk-des-over-D_n", _brute_off_by_one(("pk", "des"), "desarrangements"),
      "specializations", 5, _fail(_SPEC, 5, 4, "joint pk,des vs brute)\n")),
+    ("pix-des-over-S_n", _brute_off_by_one(("pix", "des"), "all"),
+     "specializations", 5, _fail(_SPEC, 5, 4, "joint pix,des vs brute)\n")),
 ]
 # ... and each bijection record with its forward or inverse map reversed
 BROKEN_BIJECTIONS = [
@@ -210,7 +203,7 @@ MUTANTS = [
     ("pix-des+st(1-s)(1-t)x^5", _formula("joint_pix_des", _plus(
         [0] * 5 + [lambda s, t: s * t * (1 - s) * (1 - t) / 120])),
      "specializations", 8, _fail(_SPEC, 8, 5, _missed(
-         _PIXDES, 38685626299726792810037468, 38685626299726827169513692, _S17))),
+         _PIXDES, 38685626299726792810037468, 38685626299726827169513692, _S17) + "\n")),
     # each increment, phase rule and step rule of the counted rows, miswired
     ("dp-des-on-up", _counted("INCREMENTS", "des", ("up",)), "tables", 5,
      _fail(_TABLES, 5, 2, _missed("des", 1, 2))),

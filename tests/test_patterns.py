@@ -17,7 +17,7 @@ from reference_tables import (
     A_SEQUENCE, CATALAN_NUMBERS, DERANGEMENT_NUMBERS, FIBONACCI_NUMBERS,
     FINE_NUMBERS, JACOBSTHAL_NUMBERS,
 )
-from test_mutants import complement
+from test_perms import complement
 
 
 def test_parse_and_label():

@@ -12,7 +12,16 @@ from desarrange.perms import (
 )
 
 from reference_tables import DERANGEMENT_NUMBERS
-from test_mutants import complement
+
+
+def complement(p):
+    """Replace each value v by n+1-v.
+
+    >>> complement((3, 1, 2, 5, 4))
+    (3, 5, 4, 1, 2)
+    """
+    n = len(p)
+    return tuple(n + 1 - v for v in p)
 
 
 def all_perms(n):
