@@ -142,20 +142,20 @@ def _joint_pix_des(s: Fraction, t: Fraction, order: int) -> TruncSeries:
     return _div(num, den)
 
 
-# tag -> (number of statistic variables, builder, the class whose members a
-# distribution row counts, or None for a plain series); a builder takes the
-# variables it needs, s before t, then the order
+# tag -> (number of statistic variables, builder); a builder takes the
+# variables it needs, s before t, then the order.  The rows a formula meets,
+# with their class, are named in rankdp.TABLES.
 FORMULAS = {
-    "eulerian": (1, _eulerian, "all"),
-    "derangement_egf": (0, functools.partial(fix_egf, 0), None),
-    "fix": (1, fix_egf, "all"),
-    "des": (1, _des, "desarrangements"),
-    "pk": (1, _pk, "desarrangements"),
-    "val": (1, _val, "desarrangements"),
-    "dasc": (1, _dasc, "desarrangements"),
-    "ddes": (1, _ddes, "desarrangements"),
-    "joint_pk_des": (2, _joint_pk_des, "desarrangements"),
-    "joint_pix_des": (2, _joint_pix_des, "all"),
+    "eulerian": (1, _eulerian),
+    "derangement_egf": (0, functools.partial(fix_egf, 0)),
+    "fix": (1, fix_egf),
+    "des": (1, _des),
+    "pk": (1, _pk),
+    "val": (1, _val),
+    "dasc": (1, _dasc),
+    "ddes": (1, _ddes),
+    "joint_pk_des": (2, _joint_pk_des),
+    "joint_pix_des": (2, _joint_pix_des),
 }
 
 
@@ -167,7 +167,7 @@ def evaluate_formula(tag: str, t=None, s=None, order: int = 8) -> TruncSeries:
     """
     if tag not in FORMULAS:
         raise ValueError(f"unknown formula {tag!r}")
-    arity, build, _ = FORMULAS[tag]
+    arity, build = FORMULAS[tag]
     if arity >= 1 and t is None:
         raise ValueError(f"{tag} needs a t value")
     if arity == 2 and s is None:

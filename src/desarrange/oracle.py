@@ -30,9 +30,10 @@ def distribution(n: int, stats, klass: str = "desarrangements"):
     return tally(n, (), klass, value)
 
 
-def marginal(joint: dict, index: int) -> dict:
-    """Collapse a tuple-keyed joint distribution onto one coordinate; keys ascend."""
+def marginal(joint: dict, *indices: int) -> dict:
+    """Collapse a tuple-keyed joint distribution onto the given coordinates:
+    plain keys for one, tuples in the order given for several; keys ascend."""
     out = Counter()
     for key, c in joint.items():
-        out[key[index]] += c
+        out[key[indices[0]] if len(indices) == 1 else tuple(key[i] for i in indices)] += c
     return dict(sorted(out.items()))

@@ -60,11 +60,6 @@ def avoids(p, patterns) -> bool:
     return all(not contains_pattern(p, sigma) for sigma in patterns)
 
 
-def count_class(n: int, patterns, klass: str = "desarrangements") -> int:
-    """Brute-force size of the avoidance class within the given permutation class."""
-    return class_count(n, patterns, klass)
-
-
 # --- classical sequences (indexing pinned to the tables in use) ---
 #
 # Each row is (terms, rule): terms starts as the sequence's first terms, and

@@ -44,8 +44,9 @@ PIX_STEPS = {
 # ... and phase -> the s-exponent added where the word ends
 PIX_END = {"rise": 1, "even": 0, "odd": 1, "done": 0}
 
-# table -> (class, statistic of t, statistic of s or None), as named in
-# formulas.FORMULAS
+# table -> (class, statistic of t, statistic of s or None): the one statement
+# of each counted table.  A table's tag names the formula it meets in
+# formulas.FORMULAS.
 TABLES = {
     "eulerian": ("all", "des", None),
     **{stat: ("desarrangements", stat, None) for stat in INCREMENTS},

@@ -13,7 +13,8 @@ from collections import namedtuple
 
 from . import formulas, oracle, patterns, rankdp, rungraph
 from .perms import (
-    avoiders, class_predicate, enumerate_class, first_ascent, is_desarrangement, perm_to_str,
+    avoiders, class_count, class_predicate, enumerate_class, first_ascent, is_desarrangement,
+    perm_to_str,
 )
 from .series import CORRECTIONS, exp_series
 
@@ -112,24 +113,29 @@ def check_table1(rep: VerificationReport, top: int):
 
 @_check("tables", "statistic-tables", 0, 30)
 def check_statistic_tables(rep: VerificationReport, top: int):
-    """Counted rows over D_n against the formulas at their sample points,
-    and against brute-force counts up to n = 9."""
-    tables = {tag: rankdp.rows(tag, top)
-              for tag, (arity, _, klass) in formulas.FORMULAS.items()
-              if arity == 1 and klass == "desarrangements"}
+    """Every table of rankdp.TABLES, counted, against its formula at the
+    formula's sample points; and up to n = 9 against brute force.  There one
+    tally per class and n, of every statistic its tables read (and rval over
+    D_n), projects onto each table's row, a joint one onto (s, t)."""
+    tables = {tag: rankdp.rows(tag, top) for tag in rankdp.TABLES}
     for n in range(top + 1):
         rep.record(n, True)  # each comparison below records only a mismatch
     for tag, rows in tables.items():
         for n, note in formulas.mismatches(tag, rows):
             rep.record(n, False, f"{tag}: {note}")
     tables["rval"] = formulas.rval_rows(tables["pk"])
-    stats = list(tables)
+    named = {**rankdp.TABLES, "rval": ("desarrangements", "rval", None)}
+    stats = {}  # class -> the statistics its tables read, in order
+    for klass, *pair in named.values():
+        have = stats.setdefault(klass, [])
+        have += [stat for stat in pair if stat and stat not in have]
     for n in range(min(top, 9) + 1):  # brute force stays where the census is cheap
-        joint = oracle.distribution(n, stats, "desarrangements")
-        for i, name in enumerate(stats):
-            got, want = tables[name][n], oracle.marginal(joint, i)
+        joints = {klass: oracle.distribution(n, names, klass) for klass, names in stats.items()}
+        for tag, (klass, t_stat, s_stat) in named.items():
+            at = [stats[klass].index(stat) for stat in (s_stat, t_stat) if stat]
+            got, want = tables[tag][n], oracle.marginal(joints[klass], *at)
             if got != want:
-                rep.record(n, False, f"{name}: DP {got} vs oracle {want}")
+                rep.record(n, False, f"{tag}: DP {got} vs oracle {want}")
 
 
 # The run theorem's cases: (spec, entries summed, correction, closed form,
@@ -176,7 +182,7 @@ def check_pattern_counts(rep: VerificationReport, top: int):
     for n in range(top + 1):
         rep.record(n, True)
         for pats in patterns.all_pattern_sets():
-            brute = patterns.count_class(n, pats, "desarrangements")
+            brute = class_count(n, pats, "desarrangements")
             formula = patterns.closed_form_count(n, pats)
             if brute != formula:
                 rep.record(n, False, f"{{{patterns.patterns_label(pats)}}}: "
@@ -267,8 +273,8 @@ def check_bijections(rep: VerificationReport, top: int):
         # cardinality recurrences behind the prepend maps
         c_n = patterns.sequence("catalan", n)
         for sigma_name, sigma in (("213", patterns.P213), ("312", patterns.P312)):
-            d_n = patterns.count_class(n, {sigma}, "desarrangements")
-            d_n1 = patterns.count_class(n + 1, {sigma}, "desarrangements")
+            d_n = class_count(n, {sigma}, "desarrangements")
+            d_n1 = class_count(n + 1, {sigma}, "desarrangements")
             rep.record(n, c_n == d_n + d_n1,
                        f"C_{n} != d_{n}({sigma_name}) + d_{n + 1}({sigma_name})")
 
@@ -277,15 +283,9 @@ def check_bijections(rep: VerificationReport, top: int):
 # brute-force shadow as (statistics, class) or None)
 _SPECIALIZATIONS = (
     ("joint_pk_des", "s", 1, "des", None),
-    ("joint_pix_des", "s", 1, "eulerian", (["des"], "all")),
+    ("joint_pix_des", "s", 1, "eulerian", None),
     ("joint_pix_des", "s", 0, "des", None),
     ("joint_pix_des", "t", 1, "fix", (["fix"], "all")),
-)
-
-# (joint table, the brute-force statistics it must equal entry by entry, class)
-_JOINT_VS_BRUTE = (
-    ("joint_pk_des", ["pk", "des"], "desarrangements"),
-    ("joint_pix_des", ["pix", "des"], "all"),
 )
 
 
@@ -300,15 +300,13 @@ def _substitute(row: dict, var: str, value: int) -> dict:
 
 @_check("specializations", "specializations", 0, 8)
 def check_specializations(rep: VerificationReport, top: int):
-    """The counted joint tables against their formulas, specialized against
-    the one-variable formulas and brute force, and against brute force entry
-    by entry, at every n; and two series identities at the top."""
-    tables = {tag: rankdp.rows(tag, top) for tag, *_ in _JOINT_VS_BRUTE}
+    """The counted joint tables, specialized, against the one-variable
+    formulas and the fix shadow at every n; and two series identities at
+    the top.  statistic-tables compares the joint tables themselves with
+    their formulas and with brute force."""
+    tables = {tag: rankdp.rows(tag, top) for tag in dict.fromkeys(r[0] for r in _SPECIALIZATIONS)}
     for n in range(top + 1):
         rep.record(n, True)  # each comparison below records only a mismatch
-    for tag, rows in tables.items():
-        for n, note in formulas.mismatches(tag, rows):
-            rep.record(n, False, f"{tag}: {note}")
     for tag, var, value, target, shadow in _SPECIALIZATIONS:
         rows = {n: _substitute(row, var, value) for n, row in tables[tag].items()}
         for n, note in formulas.mismatches(target, rows, "t" if var == "s" else "s"):
@@ -319,10 +317,6 @@ def check_specializations(rep: VerificationReport, top: int):
                 if got != want:
                     rep.record(n, False, f"{tag} at {var}={value} vs brute "
                                          f"{shadow[0][0]}: {got} vs {want}")
-    for n in range(top + 1):
-        for tag, stats, klass in _JOINT_VS_BRUTE:
-            if tables[tag][n] != oracle.distribution(n, stats, klass):
-                rep.record(n, False, f"joint {','.join(stats)} vs brute")
 
     order = top + 1
     e_x = exp_series(1, order)

@@ -10,7 +10,7 @@ import pytest
 
 from desarrange import formulas, oracle, patterns, rankdp, rungraph, verify
 from desarrange.formulas import evaluate_formula, mismatches
-from desarrange.perms import enumerate_class, pixed_factorization
+from desarrange.perms import class_count, enumerate_class, pixed_factorization
 from desarrange.series import cosh_even
 from desarrange.verify import _substitute
 
@@ -95,7 +95,7 @@ def test_criterion_06_pattern_program():
     t0 = time.perf_counter()
     for n in range(10):
         for pats in patterns.all_pattern_sets():
-            brute = patterns.count_class(n, pats, "desarrangements")
+            brute = class_count(n, pats, "desarrangements")
             assert brute == patterns.closed_form_count(n, pats), \
                 (n, patterns.patterns_label(pats))
     _report(6, "closed forms equal brute force for all 64 pattern sets", t0, 120)

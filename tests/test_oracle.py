@@ -21,6 +21,10 @@ def test_joint_distribution_and_marginal():
     assert joint == {(0, 1): 3, (1, 2): 5, (0, 3): 1}
     assert oracle.marginal(joint, 0) == {0: 4, 1: 5}
     assert oracle.marginal(joint, 1) == {1: 3, 2: 5, 3: 1}
+    # several coordinates give tuple keys in the order asked for, ascending
+    assert oracle.marginal(joint, 1, 0) == {(1, 0): 3, (2, 1): 5, (3, 0): 1}
+    triple = oracle.distribution(4, ["des", "pk", "val"], "desarrangements")
+    assert oracle.marginal(triple, 1, 0) == joint
 
 
 def test_distribution_with_restriction():
@@ -48,7 +52,7 @@ def test_restricted_distribution_matches_pattern_counts():
             pats = patterns.parse_patterns(label)
             for klass in ("all", "desarrangements", "derangements"):
                 row = perms.tally(n, pats, klass, perms.des)
-                assert sum(row.values()) == patterns.count_class(n, pats, klass)
+                assert sum(row.values()) == perms.class_count(n, pats, klass)
 
 
 def test_oracle_imports_only_perm_core():
