@@ -308,28 +308,28 @@ def contains_pattern(p, sigma) -> bool:
 
 CENSUS_MAX = 9  # tally reads the census up to this length and walks the class above it
 
-# _walk computes what lies below a prefix with TAIL letters left once per
-# walker state and replays it for every prefix in that state; 0 turns the
-# memo off.  4 is the faster depth for the walks that cost most: against 3,
-# census(9) takes 0.23 s instead of 0.30 s, the empty-set tally walk of S_10
-# 1.6 s instead of 2.4 s and avoiders(11, {132}) 0.10 s instead of 0.14 s;
-# census(8) takes 0.049 s instead of 0.036 s, and verify_all(9) about 0.77 s
-# at either.  At 5, census(9) takes 0.45 s.  At 4 the n = 9 census memo
-# holds 756 states and 350 distinct tail tables (best of 5, one process,
-# Python 3.11, 2-CPU host).
+# Every walker state with at most TAIL letters left gets its table of
+# completions once, and each prefix with TAIL letters left replays its
+# state's table; 0 turns the memo off, so every prefix runs to its end.
+# At 4 census(9) takes 0.09 s, census(10) 0.72 s and the empty-set tally
+# walk of S_10 0.49 s, and the n = 9 census walk peaks at 3.5 MB.  At 5
+# census(9) takes as long and the S_10 walks are faster (0.44 and 0.30 s),
+# but the n = 9 walk peaks at 8.6 MB; at 3 census(9) takes 0.16 s (best of
+# 3-5, one process, tracemalloc peak, Python 3.11, shared 2-CPU host).
 TAIL = 4
 
 _NO_TAIL = ((0, 0, 0, ()),)  # the one empty completion of a full-length prefix
 
 
-def _walk(n: int, track: int, forbid: int, klass: str, visit):
-    """Call visit(prefix, mask, descent word, fix, tails) on the class, in
-    lexicographic order.
+def _walk(n: int, track: int, forbid: int, klass: str, fold, visit):
+    """Call visit(prefix, mask, descent word, fix, fold(tails)) on the class,
+    in lexicographic order; a prefix with no tail is skipped.
 
     Each tail (mask bits, descent bits, fixed points, letters) completes the
     prefix to one member, with mask | bits, descent word | bits (the word
-    comes shifted past the tail) and fix + fixed points.  A full-length
-    prefix comes with the one empty tail.
+    comes shifted past the tail) and fix + fixed points.  The tails come in
+    lexicographic order, and a full-length prefix comes with the one empty
+    tail.
 
     The walk appends the unused values in increasing order, so every value
     still unused is placed later, and a pattern is certain from the step
@@ -348,10 +348,14 @@ def _walk(n: int, track: int, forbid: int, klass: str, visit):
     of permutations reached rather than with n!.
 
     Below a prefix the walk reads only its used values, its last letter and
-    whether it has an ascent yet.  So the prefixes with TAIL letters left
-    share one memo keyed by exactly that state, and the first prefix in a
-    state runs the walk below it, from zeroed mask, descent word and fix
-    count, to record its tails.
+    whether it has an ascent yet.  So each such state with at most TAIL
+    letters left gets its table of tails once, in a memo keyed by exactly
+    that state, and builds it from the tables of the states it leads to:
+    for each letter it may append, in increasing order, each tail of the
+    next state with the letter prepended, its pattern bits ORed in, its
+    descent bit set and its fixed point added.  The prefixes with TAIL
+    letters left read their state's table, and fold runs once per state
+    there: the census groups the table, the avoiders keep its letters.
     """
     class_predicate(klass)  # rejects an unknown class
     check_cap(n)
@@ -360,29 +364,19 @@ def _walk(n: int, track: int, forbid: int, klass: str, visit):
     desarr = klass == "desarrangements"
     # the patterns each step settles
     w123, w132, w213, w231, w312, w321 = ((track | forbid) >> k & 1 for k in range(6))
-    cut = n - TAIL if 0 < TAIL < n else -1  # the length that reads the memo
+    cut = max(n - TAIL, 0) if TAIL else n  # the length that reads the memo
     memo = {}
-    shared = {}  # one copy of each distinct tail table
+    shared = {}  # one copy of each distinct folded table
     prefix = []
 
-    def record(used, last, down):
-        # the tails below a state, in lexicographic order, by the same step
-        tails = []
-
-        def keep(p, m, dw, fx, _):
-            tail = (m, dw, fx, tuple(p[cut:]))
-            tails.append(shared.setdefault(tail, tail))
-
-        step(cut, used, last, 0, 0, 0, down, keep)
-        tails = tuple(tails)
-        return shared.setdefault(tails, tails)
-
-    def step(k, used, last, mask, dw, fx, down, emit):
-        # k letters placed; down: no ascent yet; emit receives each member
+    def moves(k, used, last, down):
+        # (c, its bit, no ascent yet, pattern bits) for each letter c that a
+        # state with k letters placed may append, in increasing order
         pos = k + 1
         unused = full & ~used
         free = unused & ~(1 << pos) if derange else unused  # no fixed point
         low = used & -used  # the bit of min U
+        out = []
         while free:
             bit = free & -free
             free ^= bit
@@ -392,21 +386,13 @@ def _walk(n: int, track: int, forbid: int, klass: str, visit):
                 if desarr and k % 2:
                     continue
                 d = False
-            dw_c = dw << 1 | (c < last)
-            fx_c = fx + (c == pos)
-            if pos == n:  # the last letter: every pattern is settled
-                if not (desarr and d and n % 2):
-                    prefix.append(c)
-                    emit(prefix, mask, dw_c, fx_c, _NO_TAIL)
-                    prefix.pop()
-                continue
             # the rules above, each asking whether an unused value lies in
             # the completion set; a bit set compares above a single bit not
             # in it iff it holds a higher bit
-            rest = unused ^ bit
+            rest = unused ^ bit  # empty at the last letter, which settles nothing
             hit = 0
             below = used & (bit - 1)
-            if below:
+            if below and rest:
                 if w123 and rest > bit:  # an unused value above c
                     hit = 1
                 if w132 and rest & (bit - 1) > low:  # one in (min U, c)
@@ -424,28 +410,49 @@ def _walk(n: int, track: int, forbid: int, klass: str, visit):
                     above = used & -bit
                     if rest > above & -above:
                         hit |= 4
-            if hit & forbid:
-                continue
-            prefix.append(c)
-            if pos == cut:
-                key = (used | bit, c, d)
-                tails = memo.get(key)
-                if tails is None:
-                    tails = memo[key] = record(used | bit, c, d)
-                if tails:
-                    emit(prefix, mask | hit, dw_c << TAIL, fx_c, tails)
+            if not hit & forbid:
+                out.append((c, bit, d, hit))
+        return out
+
+    def table(k, used, last, down):
+        # the tails below a state with k letters placed, folded at the cut
+        key = (used, last, down)
+        tails = memo.get(key)
+        if tails is None:
+            if k == n:  # a desarrangement of odd length has its first ascent before n
+                tails = () if desarr and down and n % 2 else _NO_TAIL
             else:
-                step(pos, used | bit, c, mask | hit, dw_c, fx_c, d, emit)
+                shift = n - k - 1  # the descent bit of the letter placed next
+                pos = k + 1
+                tails = []
+                for c, bit, d, hit in moves(k, used, last, down):
+                    descent = (c < last) << shift
+                    fixed = c == pos
+                    for bits, dbits, fbits, letters in table(pos, used | bit, c, d):
+                        tails.append((hit | bits, descent | dbits, fixed + fbits, (c,) + letters))
+                tails = tuple(tails)
+            if k == cut:
+                tails = fold(tails)
+                tails = shared.setdefault(tails, tails)
+            memo[key] = tails
+        return tails
+
+    def step(k, used, last, mask, dw, fx, down):
+        # k letters placed; down: no ascent yet
+        if k == cut:
+            tails = table(k, used, last, down)
+            if tails:
+                visit(prefix, mask, dw << n - k, fx, tails)
+            return
+        for c, bit, d, hit in moves(k, used, last, down):
+            prefix.append(c)
+            step(k + 1, used | bit, c, mask | hit, dw << 1 | (c < last), fx + (c == k + 1), d)
             prefix.pop()
 
-    if n == 0:
-        visit(prefix, 0, 0, 0, _NO_TAIL)
-    else:
-        step(0, 0, 0, 0, 0, 0, True, visit)
-    # step and record refer to themselves and each other; emptying their
-    # cells lets reference counting free the memo, the tail tables and the
-    # visitor as soon as the walk returns
-    del step, record
+    step(0, 0, 0, 0, 0, 0, True)
+    # step and table refer to themselves; emptying their cells lets reference
+    # counting free the memo and the visitor as soon as the walk returns
+    del step, table
 
 
 def _keyed(n: int, forbid: int, klass: str, track: int = 0) -> dict:
@@ -454,22 +461,40 @@ def _keyed(n: int, forbid: int, klass: str, track: int = 0) -> dict:
     first members.
 
     The mask holds only the tracked patterns: all six in the census, and
-    none in tally's walk, where every member falls in group 0.
+    none in tally's walk, where every member falls in group 0.  Each tail
+    table is grouped once by (mask bits, descent bits, fixed points), each
+    group keeping its count and first tail, in the order of first tails,
+    and every prefix that reads the table replays the groups.  A key is
+    packed in one int, (mask << n | descent word) << width | fix.
     """
-    out = defaultdict(dict)
+    width = n.bit_length()  # fix <= n
+    out = {}
 
-    def visit(prefix, mask, dw, fx, tails):
+    def fold(tails):
+        groups = {}
         for bits, dbits, fbits, letters in tails:
-            group = out[mask | bits]
-            key = (dw | dbits, fx + fbits)
-            entry = group.get(key)
+            key = (bits << n | dbits) << width | fbits
+            entry = groups.get(key)
             if entry is None:
-                group[key] = [1, tuple(prefix) + letters]
+                groups[key] = [1, letters]
             else:
                 entry[0] += 1
+        return tuple((key, count, letters) for key, (count, letters) in groups.items())
 
-    _walk(n, track, forbid, klass, visit)
-    return dict(out)
+    def visit(prefix, mask, dw, fx, groups):
+        high = (mask << n | dw) << width
+        for key, count, letters in groups:
+            key = (high | key) + fx  # fx + fixed points < 2**width
+            try:
+                out[key][0] += count
+            except KeyError:
+                out[key] = [count, tuple(prefix) + letters]
+
+    _walk(n, track, forbid, klass, fold, visit)
+    keyed = defaultdict(dict)
+    for key, entry in out.items():
+        keyed[key >> width >> n][key >> width & (1 << n) - 1, key & (1 << width) - 1] = entry
+    return dict(keyed)
 
 
 @capped
@@ -489,6 +514,21 @@ def census(n: int):
                              for mask, group in _keyed(n, 0, "all", 63).items()})
 
 
+@capped
+def _class_census(n: int, klass: str) -> dict:
+    """census(n) cut to the members of the class, read by tally; a mask
+    with no member left is dropped, and the class of all is the census."""
+    member = class_predicate(klass)
+    if klass == "all":
+        return census(n)
+    cut = {}
+    for mask, group in census(n).items():
+        members = {key: entry for key, entry in group.items() if member(entry[1])}
+        if members:
+            cut[mask] = members
+    return cut
+
+
 def tally(n: int, patterns, klass: str, value) -> dict:
     """Counts of value(p) over the members of the class avoiding every given pattern.
 
@@ -497,11 +537,11 @@ def tally(n: int, patterns, klass: str, value) -> dict:
     descent_composition, is_desarrangement, is_derangement and pix do.
     Class membership depends on them too, so any member of a (descent
     word, fix) group stands for all of it.  Up to CENSUS_MAX, tally merges
-    the census groups whose mask misses the forbidden set by (descent word,
-    fix); above it, it walks only the class members that avoid the patterns
-    (all of them for the empty set), which come as the one group.  value is
-    evaluated once per group, on one member.  Keys ascend.  Lengths above
-    the enumeration cap raise CapExceededError.
+    the census groups cut to the class whose mask misses the forbidden set
+    by (descent word, fix); above it, it walks only the class members that
+    avoid the patterns (all of them for the empty set), which come as the
+    one group.  value is evaluated once per group, on one member.  Keys
+    ascend.  Lengths above the enumeration cap raise CapExceededError.
 
     >>> tally(4, (), "desarrangements", des)
     {1: 3, 2: 5, 3: 1}
@@ -509,8 +549,7 @@ def tally(n: int, patterns, klass: str, value) -> dict:
     {0: 10, 1: 6}
     """
     forbid = pattern_mask(patterns)
-    member = class_predicate(klass)
-    keyed = census(n) if n <= CENSUS_MAX else _keyed(n, forbid, klass)
+    keyed = _class_census(n, klass) if n <= CENSUS_MAX else _keyed(n, forbid, klass)
     groups = {}
     for mask, group in keyed.items():
         if not mask & forbid:
@@ -522,8 +561,7 @@ def tally(n: int, patterns, klass: str, value) -> dict:
                     entry[0] += count
     out = Counter()
     for count, p in groups.values():
-        if member(p):
-            out[value(p)] += count
+        out[value(p)] += count
     return dict(sorted(out.items()))
 
 
@@ -550,9 +588,9 @@ def avoiders(n: int, patterns, klass: str = "all") -> list[Perm]:
 
     def visit(prefix, mask, dw, fx, tails):
         head = tuple(prefix)
-        out.extend(head + tail[3] for tail in tails)
+        out.extend(head + letters for letters in tails)
 
-    _walk(n, 0, forbid, klass, visit)
+    _walk(n, 0, forbid, klass, lambda tails: tuple(tail[3] for tail in tails), visit)
     return out
 
 

@@ -95,11 +95,11 @@ def _rewritten(module, name, old, new):
     return patch
 
 
-def _walker(old, new):
-    """perms._walk with its one `old` replaced by `new`; every tally walks,
-    so the census is neither read nor built."""
+def _walker(old, new, name="_walk"):
+    """perms._walk (or name) with its one `old` replaced by `new`; every
+    tally walks, so the census is neither read nor built."""
     def patch(mp):
-        _rewritten(perms, "_walk", old, new)(mp)
+        _rewritten(perms, name, old, new)(mp)
         mp.setattr(perms, "CENSUS_MAX", -1)
     return patch
 
@@ -313,8 +313,10 @@ MUTANTS = [
     ("walker-213", _walker("rest > above & -above", "rest > (above & -above) << 1"),
      "patterns", 3, _fail("pattern-counts", 3, 3, "{213}: formula 1 vs brute 2)")),
     ("walker-memo-key-without-ascent-flag",
-     _walker("key = (used | bit, c, d)", "key = (used | bit, c)"), "bijections", 7,
-     _fail(_BIJ, 7, 7, "213_prepend: 329 images of length 8, class has 339)")),
+     _walker("key = (used, last, down)", "key = (used, last)"), "bijections", 7,
+     _fail(_BIJ, 7, 4, "213_prepend: 10 images of length 5, class has 11)")),
+    ("walker-grouped-tail-counted-once", _walker("entry[0] += 1", "entry[0] = 1", "_keyed"),
+     "patterns", 4, _fail("pattern-counts", 4, 4, "{}: formula 9 vs brute 7)")),
     ("catalan-rule+1-at-6", CATALAN_PLUS_ONE, "bijections", 8,
      _fail(_BIJ, 8, 6, "C_6 != d_6(213) + d_7(213)")),
     ("321_insert-on-Av(123)", _record(_AV["321_insert"], domain=patterns._av("123")),

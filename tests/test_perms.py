@@ -247,6 +247,14 @@ def test_tail_memo_changes_no_walk(monkeypatch):
                 got.append(([as_items(perms._keyed(n, forbid, klass, track))
                              for track in tracks], perms.avoiders(n, pats, klass)))
             assert got[0] == got[1], (n, forbid, klass)
+    # the composed tables and their grouped replay at the length verify
+    # reads, with all six patterns tracked
+    for klass in perms.CLASSES:
+        got = []
+        for tail in (memo_tail, 0):
+            monkeypatch.setattr(perms, "TAIL", tail)
+            got.append(as_items(perms._keyed(9, 0, klass, 63)))
+        assert got[0] == got[1], klass
 
 
 def _by_descent_word_and_fix(census, forbid, member):
