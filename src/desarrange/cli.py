@@ -27,7 +27,7 @@ from fractions import Fraction
 from .perms import (
     CAP_ENV_VAR, CapExceededError, CapSettingError, check_cap, enumerate_class, perm_to_str,
 )
-from .series import CORRECTIONS, format_rational
+from .series import CORRECTIONS
 
 STAT_TABLE_IDS = {2: "des", 3: "pk", 4: "val", 5: "dasc", 6: "ddes"}
 
@@ -165,9 +165,9 @@ def cmd_runthm(args) -> int:
         check_cap(args.order)  # before S_0 .. S_cap are walked in vain
         direct = [rungraph.oracle_weight_sum(spec, args.i, args.j, n, t=args.t, s=args.s)
                   + correction.egf_coeff(n) for n in range(args.order + 1)]
-    _emit(",".join(format_rational(v) for v in values))
+    _emit(",".join(map(str, values)))
     if args.oracle:
-        _emit(",".join(format_rational(v) for v in direct))
+        _emit(",".join(map(str, direct)))
         if direct != values:
             _emit("oracle: MISMATCH")
             return 1

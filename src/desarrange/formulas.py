@@ -191,12 +191,12 @@ def good_t_points(tag: str, count: int, order: int, s=None):
     return out
 
 
-def row_text(row: dict, var: str = "t") -> str:
+def row_text(row: dict) -> str:
     """A one-variable row as its polynomial, like 3t+5t^2+t^3: ascending
     powers, unit coefficients dropped, and 0 for the empty row."""
     terms = []
     for k, c in row.items():
-        power = "" if k == 0 else var if k == 1 else f"{var}^{k}"
+        power = "" if k == 0 else "t" if k == 1 else f"t^{k}"
         terms.append(power if c == 1 and power else f"{c}{power}")
     return "+".join(terms) or "0"
 

@@ -293,7 +293,7 @@ def _av(labels: str, klass: str = "all") -> tuple[frozenset[Perm], str]:
 
 
 class Bijection(namedtuple("Bijection", "name forward inverse domain target shifts "
-                                       "description n_min fixes flips",
+                                       "n_min fixes flips",
                            defaults=(0, None, False))):
     """A proof bijection and the class identity it proves.
 
@@ -319,50 +319,41 @@ class Bijection(namedtuple("Bijection", "name forward inverse domain target shif
 
 BIJECTIONS = {
     b.name: b for b in [
+        # lift letters by 1 and insert 1 after the first letter: 321-avoiders
+        # of length n-1 onto 321-avoiding desarrangements
         Bijection("321_insert", _insert_one_forward, _insert_one_inverse,
-                  _av("321"), _av("321", "desarrangements"), (1,),
-                  "lift letters by 1 and insert 1 after the first letter: "
-                  "321-avoiders of length n-1 onto 321-avoiding desarrangements",
-                  n_min=1),
+                  _av("321"), _av("321", "desarrangements"), (1,), n_min=1),
+        # prepend n+1 to non-desarrangements; the inverse strips the leading maximum
         Bijection("213_prepend", _prepend_max_forward, _prepend_max_inverse,
                   _av("213"), _av("213", "desarrangements"), (1,),
-                  "prepend n+1 to non-desarrangements (identity on desarrangements); "
-                  "inverse strips the leading maximum",
                   fixes="desarrangements"),
+        # lift letters above p1 and prepend p1+1 to non-desarrangements; the
+        # inverse undoes the lift
         Bijection("312_prepend", _prepend_lift_forward, _prepend_lift_inverse,
                   _av("312"), _av("312", "desarrangements"), (1,),
-                  "lift letters above p1 and prepend p1+1 to non-desarrangements; "
-                  "inverse undoes the lift",
                   fixes="desarrangements"),
+        # move n between the ends
         Bijection("132_231_toggle", _toggle_max, _toggle_max,
-                  _av("132,231"), _av("132,231"), (0,),
-                  "move n between the ends: swaps desarrangements and "
-                  "non-desarrangements within the 132,231-avoiders",
-                  n_min=2, flips=True),
+                  _av("132,231"), _av("132,231"), (0,), n_min=2, flips=True),
+        # swap the first two letters
         Bijection("231_321_swap", _swap_first_two, _swap_first_two,
-                  _av("231,321"), _av("231,321"), (0,),
-                  "swap the first two letters within the 231,321-avoiders",
-                  n_min=2, flips=True),
+                  _av("231,321"), _av("231,321"), (0,), n_min=2, flips=True),
+        # drop the forced 21 prefix and standardize
         Bijection("312_321_strip", _strip_21_forward, _strip_21_inverse,
-                  _av("312,321", "desarrangements"), _av("312,321"), (-2,),
-                  "drop the forced 21 prefix and standardize",
-                  n_min=2),
+                  _av("312,321", "desarrangements"), _av("312,321"), (-2,), n_min=2),
+        # drop the final letter, or the final 21, and standardize
         Bijection("123_132_213_trim", _fib_left_trim_forward, _fib_left_trim_inverse,
                   _av("123,132,213", "desarrangements"),
-                  _av("123,132,213", "desarrangements"), (-1, -2),
-                  "drop the final letter, or the final 21, and standardize",
-                  n_min=3),
+                  _av("123,132,213", "desarrangements"), (-1, -2), n_min=3),
+        # drop a final n, or a final n(n-1)
         Bijection("231_312_321_trim", _fib_right_trim_forward, _fib_right_trim_inverse,
                   _av("231,312,321", "desarrangements"),
-                  _av("231,312,321", "desarrangements"), (-1, -2),
-                  "drop a final n, or a final n(n-1)",
-                  n_min=3),
-        # Simion-Schmidt over S_n, and restricted to the desarrangements, where
-        # every length up from 2 has members (D_1 is empty)
+                  _av("231,312,321", "desarrangements"), (-1, -2), n_min=3),
+        # Simion-Schmidt, keeping the left-to-right minima, over S_n and
+        # restricted to the desarrangements, where every length up from 2
+        # has members (D_1 is empty)
         *(Bijection(f"simion_schmidt({klass})", _simion_schmidt(False), _simion_schmidt(True),
-                    _av("123", klass), _av("132", klass), (0,),
-                    "123-avoiders onto 132-avoiders, keeping the left-to-right minima",
-                    n_min=n_min)
+                    _av("123", klass), _av("132", klass), (0,), n_min=n_min)
           for klass, n_min in (("all", 0), ("desarrangements", 2))),
     ]
 }

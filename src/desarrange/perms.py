@@ -94,11 +94,6 @@ def is_desarrangement(p) -> bool:
     return fa is None or fa % 2 == 0
 
 
-def is_derangement(p) -> bool:
-    """True iff p has no fixed points."""
-    return all(v != i for i, v in enumerate(p, 1))
-
-
 def des(p) -> int:
     """Number of positions i < n with p_i > p_{i+1}."""
     return sum(1 for i in range(len(p) - 1) if p[i] > p[i + 1])
@@ -209,7 +204,6 @@ STAT_FUNCTIONS = {
 _CLASS_TESTS = {
     "all": lambda p: True,
     "desarrangements": is_desarrangement,
-    "derangements": is_derangement,
 }
 CLASSES = tuple(_CLASS_TESTS)
 
@@ -246,9 +240,9 @@ def class_predicate(klass: str):
 def enumerate_class(n: int, klass: str = "all"):
     """Yield the permutations of 1..n in the given class, in lexicographic order.
 
-    klass is one of "all", "desarrangements", "derangements".  Lengths above
-    the enumeration cap (default 11, override via the DESARRANGE_CAP
-    environment variable) raise CapExceededError.
+    klass is "all" or "desarrangements".  Lengths above the enumeration cap
+    (default 11, override via the DESARRANGE_CAP environment variable) raise
+    CapExceededError.
     """
     member = class_predicate(klass)
     check_cap(n)
@@ -360,7 +354,6 @@ def _walk(n: int, track: int, forbid: int, klass: str, fold, visit):
     class_predicate(klass)  # rejects an unknown class
     check_cap(n)
     full = (1 << (n + 1)) - 2  # bits 1..n, one per value
-    derange = klass == "derangements"
     desarr = klass == "desarrangements"
     # the patterns each step settles
     w123, w132, w213, w231, w312, w321 = ((track | forbid) >> k & 1 for k in range(6))
@@ -372,9 +365,8 @@ def _walk(n: int, track: int, forbid: int, klass: str, fold, visit):
     def moves(k, used, last, down):
         # (c, its bit, no ascent yet, pattern bits) for each letter c that a
         # state with k letters placed may append, in increasing order
-        pos = k + 1
         unused = full & ~used
-        free = unused & ~(1 << pos) if derange else unused  # no fixed point
+        free = unused
         low = used & -used  # the bit of min U
         out = []
         while free:
@@ -534,7 +526,7 @@ def tally(n: int, patterns, klass: str, value) -> dict:
 
     Contract: value(p) may depend only on the descent set of p and its
     number of fixed points, as every statistic in STAT_FUNCTIONS,
-    descent_composition, is_desarrangement, is_derangement and pix do.
+    descent_composition, is_desarrangement and pix do.
     Class membership depends on them too, so any member of a (descent
     word, fix) group stands for all of it.  Up to CENSUS_MAX, tally merges
     the census groups cut to the class whose mask misses the forbidden set

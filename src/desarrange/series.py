@@ -256,10 +256,6 @@ class TruncSeries:
         return f"TruncSeries({[str(c) for c in self.coeffs]})"
 
 
-def format_rational(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def poly_series(coeffs, order: int) -> TruncSeries:
     """Embed a polynomial (low-degree coefficients first) as a series."""
     return TruncSeries([_as_fraction(c) for c in coeffs[: order + 1]], order)

@@ -380,7 +380,6 @@ UNENTERED = {
     "series.Poly.__call__": _TRACER,
     "series.Poly.__init__": "no command builds a Poly; it stays while the tracer reads __call__",
     "series.TruncSeries.coeffs": "sqrt, shift_down and repr read the coefficients",
-    "perms.is_derangement": "the derangements class test; the walker drops fixed points itself",
 }
 
 

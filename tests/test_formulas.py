@@ -100,7 +100,6 @@ def test_row_text():
     assert row_text({0: 1}) == "1"
     assert row_text({}) == "0"
     assert row_text({2: 1}) == "t^2"
-    assert row_text({0: 9, 1: 8, 2: 6, 4: 1}, "s") == "9+8s+6s^2+s^4"
 
 
 def test_pd_identity_series():

@@ -133,7 +133,7 @@ def _fail(subject, top, n, note, low=0):
 
 COMPLEMENT = patterns.Bijection(
     "complement", complement, complement, patterns._av("123"), patterns._av("321"),
-    (0,), "replace each letter v by n + 1 - v: Av_n(123) onto Av_n(321)")
+    (0,))  # replace each letter v by n + 1 - v: Av_n(123) onto Av_n(321)
 _AV, _TABLES, _SPEC, _BIJ = patterns.BIJECTIONS, "statistic-tables", "specializations", "bijections"
 _OUT, _TRIP = "image {} outside the target class)", "round-trip failed at {})"
 # the first failing n and note at n_max 6 of each map reversed on its forward, then inverse side

@@ -49,7 +49,7 @@ def test_count_class_matches_direct_loop():
     for n in range(7):
         for pats in [frozenset(), parse_patterns("321"), parse_patterns("123,231"),
                      parse_patterns("132,213,321")]:
-            for klass in ("all", "desarrangements", "derangements"):
+            for klass in ("all", "desarrangements"):
                 direct = sum(1 for p in enumerate_class(n, klass) if avoids(p, pats))
                 assert class_count(n, pats, klass) == direct
 
