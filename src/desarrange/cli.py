@@ -149,6 +149,8 @@ def cmd_runthm(args) -> int:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, rungraph.SpecFormatError) as exc:
         print(f"error: cannot load spec: {exc}", file=sys.stderr)
         return 2
+    if args.oracle:  # an over-cap run builds no pipeline and prints nothing
+        check_cap(args.order)
     try:
         series = rungraph.run_theorem_egf(spec, args.i, args.j,
                                           t=args.t, s=args.s, order=args.order)
@@ -161,8 +163,7 @@ def cmd_runthm(args) -> int:
     correction = CORRECTIONS[args.correction](args.order)
     series = series + correction
     values = [series.egf_coeff(n) for n in range(args.order + 1)]
-    if args.oracle:  # ahead of any output, so an over-cap run prints nothing
-        check_cap(args.order)  # before S_0 .. S_cap are walked in vain
+    if args.oracle:
         direct = [rungraph.oracle_weight_sum(spec, args.i, args.j, n, t=args.t, s=args.s)
                   + correction.egf_coeff(n) for n in range(args.order + 1)]
     _emit(",".join(map(str, values)))

@@ -36,18 +36,6 @@ class CapSettingError(ValueError):
     """DESARRANGE_CAP holds something other than a non-negative integer."""
 
 
-def enumeration_cap() -> int:
-    """Effective enumeration cap: DESARRANGE_CAP env var, else the default."""
-    raw = os.environ.get(CAP_ENV_VAR) or str(DEFAULT_ENUMERATION_CAP)
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = None
-    if cap is None or cap < 0:
-        raise CapSettingError(f"{CAP_ENV_VAR} must be a non-negative integer, got {raw!r}")
-    return cap
-
-
 def standardize(word) -> Perm:
     """Replace the smallest letter by 1, the next smallest by 2, and so on.
 
@@ -209,8 +197,15 @@ CLASSES = tuple(_CLASS_TESTS)
 
 
 def check_cap(n: int):
-    """Raise CapExceededError when n is above the enumeration cap."""
-    limit = enumeration_cap()
+    """Raise CapExceededError when n is above the enumeration cap: the
+    DESARRANGE_CAP environment variable, else the default."""
+    raw = os.environ.get(CAP_ENV_VAR) or str(DEFAULT_ENUMERATION_CAP)
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = -1  # not an integer: refused with the negative ones
+    if limit < 0:
+        raise CapSettingError(f"{CAP_ENV_VAR} must be a non-negative integer, got {raw!r}")
     if n > limit:
         raise CapExceededError(f"n={n} exceeds enumeration cap {limit}")
 
@@ -357,7 +352,7 @@ def _walk(n: int, track: int, forbid: int, klass: str, fold, visit):
     desarr = klass == "desarrangements"
     # the patterns each step settles
     w123, w132, w213, w231, w312, w321 = ((track | forbid) >> k & 1 for k in range(6))
-    cut = max(n - TAIL, 0) if TAIL else n  # the length that reads the memo
+    cut = max(n - TAIL, 0)  # the length that reads the memo
     memo = {}
     shared = {}  # one copy of each distinct folded table
     prefix = []
@@ -490,35 +485,30 @@ def _keyed(n: int, forbid: int, klass: str, track: int = 0) -> dict:
 
 
 @capped
-def census(n: int):
-    """S_n grouped by pattern mask, then keyed (descent word, fix); read by
-    tally.
+def census(n: int, klass: str):
+    """The members of the class in S_n grouped by pattern mask, then keyed
+    (descent word, fix); read by tally.
 
     Each key maps to (count, first member in lexicographic order).  The
     descent word is the int whose binary digits, most significant first,
-    flag the descents at positions 1..n-1.  Built on first use and cached;
-    lengths above the enumeration cap raise CapExceededError.
+    flag the descents at positions 1..n-1.  S_n is walked once; a class is
+    its cut to the members, without the masks left empty.  Built on first
+    use and cached per (n, class); lengths above the enumeration cap raise
+    CapExceededError.
 
-    >>> census(3)[1]
+    >>> census(3, "all")[1]
     {(0, 3): (1, (1, 2, 3))}
     """
-    return MappingProxyType({mask: {key: tuple(entry) for key, entry in group.items()}
-                             for mask, group in _keyed(n, 0, "all", 63).items()})
-
-
-@capped
-def _class_census(n: int, klass: str) -> dict:
-    """census(n) cut to the members of the class, read by tally; a mask
-    with no member left is dropped, and the class of all is the census."""
     member = class_predicate(klass)
     if klass == "all":
-        return census(n)
+        return MappingProxyType({mask: {key: tuple(entry) for key, entry in group.items()}
+                                 for mask, group in _keyed(n, 0, "all", 63).items()})
     cut = {}
-    for mask, group in census(n).items():
+    for mask, group in census(n, "all").items():
         members = {key: entry for key, entry in group.items() if member(entry[1])}
         if members:
             cut[mask] = members
-    return cut
+    return MappingProxyType(cut)
 
 
 def tally(n: int, patterns, klass: str, value) -> dict:
@@ -529,8 +519,8 @@ def tally(n: int, patterns, klass: str, value) -> dict:
     descent_composition, is_desarrangement and pix do.
     Class membership depends on them too, so any member of a (descent
     word, fix) group stands for all of it.  Up to CENSUS_MAX, tally merges
-    the census groups cut to the class whose mask misses the forbidden set
-    by (descent word, fix); above it, it walks only the class members that
+    the groups of census(n, klass) whose mask misses the forbidden set by
+    (descent word, fix); above it, it walks only the class members that
     avoid the patterns (all of them for the empty set), which come as the
     one group.  value is evaluated once per group, on one member.  Keys
     ascend.  Lengths above the enumeration cap raise CapExceededError.
@@ -541,7 +531,7 @@ def tally(n: int, patterns, klass: str, value) -> dict:
     {0: 10, 1: 6}
     """
     forbid = pattern_mask(patterns)
-    keyed = _class_census(n, klass) if n <= CENSUS_MAX else _keyed(n, forbid, klass)
+    keyed = census(n, klass) if n <= CENSUS_MAX else _keyed(n, forbid, klass)
     groups = {}
     for mask, group in keyed.items():
         if not mask & forbid:

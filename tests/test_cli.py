@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from desarrange import cli, patterns, verify
+from desarrange import cli, patterns, rungraph, verify
 
 from reference_tables import derangement_numbers
 
@@ -185,6 +185,18 @@ def test_runthm_oracle_over_the_cap_fails_before_it_walks():
     assert done.stdout == ""
     assert done.stderr == ("error: n=12 exceeds enumeration cap 11; "
                            "raise the cap with --cap-override\n")
+
+
+def test_runthm_oracle_over_the_cap_fails_before_it_builds_the_pipeline(monkeypatch, capsys):
+    monkeypatch.delenv("DESARRANGE_CAP", raising=False)
+
+    def built(*args, **kwargs):
+        raise AssertionError("the pipeline ran for an over-cap oracle run")
+
+    monkeypatch.setattr(rungraph, "run_theorem_egf", built)
+    assert cli.main(["runthm", "fig2", "-i", "1", "-j", "2", "--order", "12", "--oracle"]) == 2
+    assert capsys.readouterr() == ("", "error: n=12 exceeds enumeration cap 11; "
+                                       "raise the cap with --cap-override\n")
 
 
 # (1,1) is (1,2)-admissible along 1-2-2 and along 1-3-2

@@ -222,7 +222,7 @@ def test_census_matches_per_permutation_counter():
         want = {}
         for (mask, dw, fx), c in counts.items():
             want.setdefault(mask, []).append(((dw, fx), (c, first[mask, dw, fx])))
-        assert as_items(perms.census(n)) == list(want.items()), n
+        assert as_items(perms.census(n, "all")) == list(want.items()), n
 
 
 def test_tail_memo_changes_no_walk(monkeypatch):
@@ -272,7 +272,7 @@ def test_avoider_walks_regroup_to_the_census():
     # the empty set too; that group must give the census's counts, first
     # members and order over the avoiders in the class
     for n in range(9):
-        census = perms.census(n)
+        census = perms.census(n, "all")
         for forbid in range(64):
             for klass in perms.CLASSES:
                 walked = perms._keyed(n, forbid, klass)
@@ -298,15 +298,35 @@ def test_a_walk_leaves_nothing_for_the_cycle_collector():
 def test_census_cap(monkeypatch):
     monkeypatch.delenv(perms.CAP_ENV_VAR, raising=False)
     with pytest.raises(CapExceededError):
-        perms.census(12)
+        perms.census(12, "all")
     with pytest.raises(CapExceededError):
         perms.avoiders(12, {(3, 2, 1)})
     monkeypatch.setenv(perms.CAP_ENV_VAR, "3")
     with pytest.raises(CapExceededError):
-        perms.census(4)
+        perms.census(4, "all")
     with pytest.raises(CapExceededError):
         perms.avoiders(4, {(3, 2, 1)})
-    assert sum(c for group in perms.census(3).values() for c, _ in group.values()) == 6
+    assert sum(c for group in perms.census(3, "all").values() for c, _ in group.values()) == 6
+
+
+def test_class_census_is_the_census_cut_to_the_class(monkeypatch):
+    # each class's table is S_n's cut to its members, masks and keys in S_n's
+    # order; both are read-only, and the two classes at one n share one walk
+    real, walks = perms._keyed, []
+    monkeypatch.setattr(perms, "_keyed", lambda n, *args: walks.append(n) or real(n, *args))
+    for n in range(9):
+        for klass in perms.CLASSES:
+            perms.tally(n, (), klass, perms.des)
+        assert walks.count(n) <= 1, n  # none when an earlier test built census(n, "all")
+        full, desarr = perms.census(n, "all"), perms.census(n, "desarrangements")
+        want = [(mask, [item for item in group.items() if is_desarrangement(item[1][1])])
+                for mask, group in full.items()]
+        assert as_items(desarr) == [(mask, items) for mask, items in want if items], n
+        for table in (full, desarr):
+            with pytest.raises(TypeError):
+                table[0] = {}
+    with pytest.raises(ValueError):
+        perms.census(3, "involutions")
 
 
 def test_avoiders_match_filtered_enumeration():
