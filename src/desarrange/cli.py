@@ -7,7 +7,7 @@ seq (emit classical sequences or avoidance counts), conjecture (the
 equidistribution evidence report).
 
 Exit codes: 0 success, 1 verification mismatch or hypothesis violation,
-2 usage error.
+2 usage error, 3 internal error (a defect, reported in one line).
 
 Building the parser loads only perms and series; each subcommand imports
 the layers it runs when it runs (runthm adds rungraph, tables 2..6 add
@@ -30,6 +30,10 @@ from .perms import (
 from .series import CORRECTIONS
 
 STAT_TABLE_IDS = {2: "des", 3: "pk", 4: "val", 5: "dasc", 6: "ddes"}
+
+
+class UsageError(Exception):
+    """A bad request; main prints it as one error: line and exits 2."""
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -70,11 +74,20 @@ def render_table1(fmt: str) -> str:
     return "\n".join(lines)
 
 
+def row_text(row: dict) -> str:
+    """A one-variable row as its polynomial, like 3t+5t^2+t^3: ascending
+    powers, unit coefficients dropped, and 0 for the empty row."""
+    terms = []
+    for k, c in row.items():
+        power = "" if k == 0 else "t" if k == 1 else f"t^{k}"
+        terms.append(power if c == 1 and power else f"{c}{power}")
+    return "+".join(terms) or "0"
+
+
 def render_stat_table(tag: str, rows: dict, fmt: str) -> str:
-    from . import formulas
     if fmt == "text":
         lines = [f"n\tD_n^{tag}(t)"]
-        lines.extend(f"{n}\t{formulas.row_text(row)}" for n, row in rows.items())
+        lines.extend(f"{n}\t{row_text(row)}" for n, row in rows.items())
         return "\n".join(lines)
     # csv and json list every count up to the degree, constant term first
     dense = {str(n): [str(row.get(k, 0)) for k in range(max(row, default=-1) + 1)]
@@ -130,9 +143,7 @@ def cmd_tables(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify
     if args.only is not None and args.only not in verify.CHECKS:  # the one usage error here
-        print(f"error: unknown check {args.only!r}; have {sorted(verify.CHECKS)}",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown check {args.only!r}; have {sorted(verify.CHECKS)}")
     reports = verify.verify_all(args.n_max, only=args.only)
     if args.format == "json":
         _emit(verify.render_json(reports))
@@ -147,8 +158,7 @@ def cmd_runthm(args) -> int:
         spec = (rungraph.builtin_spec(args.spec) if args.spec in rungraph.BUILTIN_SPECS
                 else rungraph.load_spec(args.spec))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, rungraph.SpecFormatError) as exc:
-        print(f"error: cannot load spec: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot load spec: {exc}") from None
     if args.oracle:  # an over-cap run builds no pipeline and prints nothing
         check_cap(args.order)
     try:
@@ -157,9 +167,8 @@ def cmd_runthm(args) -> int:
     except rungraph.HypothesisViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except rungraph.EntryError as exc:
+        raise UsageError(exc) from None
     correction = CORRECTIONS[args.correction](args.order)
     series = series + correction
     values = [series.egf_coeff(n) for n in range(args.order + 1)]
@@ -183,15 +192,13 @@ def cmd_seq(args) -> int:
         try:
             pats = patterns.parse_patterns(name[2:-1])
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise UsageError(exc) from None
         values = (patterns.closed_form_count(n, pats) for n in range(args.n_max + 1))
     elif name in patterns.SEQUENCE_IDS:
         values = (patterns.sequence(name, n) for n in range(args.n_max + 1))
     else:
-        print(f"error: unknown sequence {name!r}; have {patterns.SEQUENCE_IDS} "
-              "or d(<patterns>)", file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown sequence {name!r}; have {patterns.SEQUENCE_IDS} "
+                         "or d(<patterns>)")
     for n, v in enumerate(values):  # each term is written as soon as it is computed
         sys.stdout.write(f",{v}" if n else str(v))
     sys.stdout.write("\n")
@@ -277,12 +284,13 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)  # exact outputs may have any number of digits
     try:
         return args.fn(args)
-    except CapExceededError as exc:
-        print(f"error: {exc}; raise the cap with --cap-override", file=sys.stderr)
+    except (UsageError, CapExceededError, CapSettingError) as exc:
+        hint = "; raise the cap with --cap-override" if isinstance(exc, CapExceededError) else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
-    except CapSettingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # a defect: exit 1 stays "mismatch or hypothesis violation"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     finally:  # the override and the lifted limit last this one call
         sys.set_int_max_str_digits(digits)
         if previous is None:

@@ -13,7 +13,7 @@ series, in integers on the series' EGF numerators.
 A distribution row has the shape perms.tally returns: a count map
 {t-exponent: count}, or {(s-exponent, t-exponent): count} for a joint
 formula, with ascending keys and no zero counts, so a row and its
-brute-force counterpart compare by ==.  row_text renders a one-variable row.
+brute-force counterpart compare by ==.
 
 Every formula that the source material states with a square root
 (sqrt(1-t), or the combined radicals in the double-ascent/descent and
@@ -189,16 +189,6 @@ def good_t_points(tag: str, count: int, order: int, s=None):
             pass
         t += 1
     return out
-
-
-def row_text(row: dict) -> str:
-    """A one-variable row as its polynomial, like 3t+5t^2+t^3: ascending
-    powers, unit coefficients dropped, and 0 for the empty row."""
-    terms = []
-    for k, c in row.items():
-        power = "" if k == 0 else "t" if k == 1 else f"t^{k}"
-        terms.append(power if c == 1 and power else f"{c}{power}")
-    return "+".join(terms) or "0"
 
 
 def mismatches(tag: str, rows: dict, var: str = "t"):

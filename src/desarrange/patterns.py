@@ -14,7 +14,7 @@ from collections import namedtuple
 
 from .oracle import marginal
 from .perms import (  # pattern_mask is re-exported
-    PATTERNS, Perm, class_count, class_predicate, contains_pattern, fix, is_desarrangement,
+    PATTERNS, Perm, class_predicate, contains_pattern, fix, is_desarrangement,
     pattern_mask, pix, standardize, tally,
 )
 
@@ -355,22 +355,10 @@ BIJECTIONS = {
 }
 
 
-def _require_member(p, side: tuple[frozenset[Perm], str], n_min: int, what: str):
-    """Raise DomainError unless p has length >= n_min and lies in the
-    (pattern set, class) side of a Bijection row."""
-    pats, klass = side
-    _require(len(p) >= n_min, f"{what} needs length >= {n_min}")
-    _require(class_predicate(klass)(p), f"{what} lies outside the {klass}")
-    _require(avoids(p, pats), f"{what} does not avoid {patterns_label(pats)}")
-
-
-def bijection(name: str, p, direction: str = "forward", grow: int | None = None) -> Perm:
-    """Apply a named proof bijection to a member of its declared domain
-    (forward) or target (inverse); anything else raises DomainError.
-
-    For the two trim maps the image lives in a union of two lengths, so the
-    inverse direction needs grow=1 or grow=2 to say how much longer the
-    preimage is.
+def bijection(name: str, p) -> Perm:
+    """Apply a named proof bijection to a member of its declared domain:
+    length n_min or more, in the class, avoiding the patterns.  Anything
+    else raises DomainError.
 
     >>> bijection("simion_schmidt(all)", (2, 1, 4, 3))
     (2, 1, 3, 4)
@@ -381,22 +369,13 @@ def bijection(name: str, p, direction: str = "forward", grow: int | None = None)
     """
     if name not in BIJECTIONS:
         raise ValueError(f"unknown bijection {name!r}; have {sorted(BIJECTIONS)}")
-    if direction not in ("forward", "inverse"):
-        raise ValueError("direction must be forward or inverse")
     b = BIJECTIONS[name]
     p = tuple(p)
-    if direction == "forward":
-        _require_member(p, b.domain, b.n_min, "input")
-        return b.forward(p)
-    if not b.graded:
-        _require_member(p, b.target, b.n_min + b.shifts[0], "inverse input")
-        return b.inverse(p)
-    grows = sorted(-shift for shift in b.shifts)
-    if grow not in grows:
-        raise ValueError(f"{name} inverse needs "
-                         + " or ".join(f"grow={g}" for g in grows))
-    _require_member(p, b.target, b.n_min - grow, "inverse input")
-    return b.inverse(p, grow)
+    pats, klass = b.domain
+    _require(len(p) >= b.n_min, f"input needs length >= {b.n_min}")
+    _require(class_predicate(klass)(p), f"input lies outside the {klass}")
+    _require(avoids(p, pats), f"input does not avoid {patterns_label(pats)}")
+    return b.forward(p)
 
 
 # --- derangement comparison and the pix/fix conjecture ---
@@ -483,24 +462,24 @@ def equidistribution_report(n_max: int = 8) -> EquidistributionReport:
             px = pix_by_descents[key] = pix(p)
         return fix(p), px
 
-    for size in (1, 2, 3):
-        for combo in itertools.combinations(PATTERNS, size):
-            pats = frozenset(combo)
-            counts_ok = True
-            pixfix_ok = True
-            for n in range(n_max + 1):
-                joint = tally(n, pats, "all", fix_pix)
-                fix_dist, pix_dist = marginal(joint, 0), marginal(joint, 1)
-                # derangements have no fixed point, desarrangements no pixed point
-                if fix_dist.get(0) != pix_dist.get(0):
-                    counts_ok = False
-                if fix_dist != pix_dist:
-                    pixfix_ok = False
-            entries.append(PatternSetEvidence(
-                patterns=patterns_label(pats),
-                counts_match=counts_ok,
-                pixfix_match=pixfix_ok,
-                in_counts_theorem=pats in COUNTS_THEOREM_SETS,
-                in_pixfix_conjecture=pats in PIXFIX_CONJECTURE_SETS,
-            ))
+    for pats in all_pattern_sets():
+        if not 1 <= len(pats) <= 3:
+            continue
+        counts_ok = True
+        pixfix_ok = True
+        for n in range(n_max + 1):
+            joint = tally(n, pats, "all", fix_pix)
+            fix_dist, pix_dist = marginal(joint, 0), marginal(joint, 1)
+            # derangements have no fixed point, desarrangements no pixed point
+            if fix_dist.get(0) != pix_dist.get(0):
+                counts_ok = False
+            if fix_dist != pix_dist:
+                pixfix_ok = False
+        entries.append(PatternSetEvidence(
+            patterns=patterns_label(pats),
+            counts_match=counts_ok,
+            pixfix_match=pixfix_ok,
+            in_counts_theorem=pats in COUNTS_THEOREM_SETS,
+            in_pixfix_conjecture=pats in PIXFIX_CONJECTURE_SETS,
+        ))
     return EquidistributionReport(n_max, entries)

@@ -33,6 +33,10 @@ class SpecFormatError(ValueError):
     """Malformed graph-spec data."""
 
 
+class EntryError(ValueError):
+    """A requested matrix entry (i,j) outside 1..dim."""
+
+
 class HypothesisViolationError(Exception):
     """Some composition is admissible along more than one path."""
 
@@ -302,7 +306,7 @@ def run_theorem_egf(spec: RunGraphSpec, i: int, j: int, t=1, s=1,
     example needs them).
     """
     if not (1 <= i <= spec.dim and 1 <= j <= spec.dim):
-        raise ValueError(f"entry ({i},{j}) outside 1..{spec.dim}")
+        raise EntryError(f"entry ({i},{j}) outside 1..{spec.dim}")
     report = validate_unique_admissibility(spec, order)
     if not report.ok:
         comp, vi, vj = report.violation

@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from desarrange import cli, patterns, rungraph, verify
+from desarrange import cli, patterns, rankdp, rungraph, series, verify
 
 from reference_tables import derangement_numbers
 
@@ -57,6 +57,13 @@ def test_a_miscopied_formula_prints_no_table(monkeypatch, capsys, which):
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"mismatch: {tag} at n=5: formula pole: "
                               f"could not find 7 good points for {tag}\n")
+
+
+def test_row_text():
+    assert cli.row_text({1: 3, 2: 5, 3: 1}) == "3t+5t^2+t^3"
+    assert cli.row_text({0: 1}) == "1"
+    assert cli.row_text({}) == "0"
+    assert cli.row_text({2: 1}) == "t^2"
 
 
 def test_table1_lists_all_of_length_five(capsys):
@@ -236,7 +243,23 @@ def test_conjecture_command(capsys):
     assert json.loads(out)["n_max"] == 4
 
 
-def test_usage_errors_exit_2(capsys):
+# Every site that rejects a request after parsing, as (DESARRANGE_CAP, argv,
+# the one stderr line after "error: ").
+USAGE_ERRORS = [
+    (None, ["verify", "--only", "nope"], f"unknown check 'nope'; have {sorted(verify.CHECKS)}"),
+    (None, ["runthm", str(SPECS / "missing.json"), "-i", "1", "-j", "2"],
+     f"cannot load spec: [Errno 2] No such file or directory: '{SPECS / 'missing.json'}'"),
+    (None, ["runthm", "fig1", "-i", "1", "-j", "4"], "entry (1,4) outside 1..3"),
+    (None, ["seq", "d(12)", "3"], "not a length-3 pattern: '12'"),
+    (None, ["seq", "nope", "3"],
+     f"unknown sequence 'nope'; have {patterns.SEQUENCE_IDS} or d(<patterns>)"),
+    (None, ["--cap-override", "4", "tables", "1"],
+     "n=5 exceeds enumeration cap 4; raise the cap with --cap-override"),
+    ("abc", ["tables", "1"], "DESARRANGE_CAP must be a non-negative integer, got 'abc'"),
+]
+
+
+def test_usage_errors_exit_2(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.main(["tables", "9"])
     assert exc.value.code == 2
@@ -257,13 +280,14 @@ def test_usage_errors_exit_2(capsys):
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.err.count("error:") == 1 and captured.out == ""
-    # an unknown check or sequence id is listed against the valid ones
-    assert cli.main(["verify", "--only", "nope"]) == 2
-    assert capsys.readouterr().err == (f"error: unknown check 'nope'; have "
-                                       f"{sorted(verify.CHECKS)}\n")
-    assert cli.main(["seq", "nope", "3"]) == 2
-    assert capsys.readouterr().err == (f"error: unknown sequence 'nope'; have "
-                                       f"{patterns.SEQUENCE_IDS} or d(<patterns>)\n")
+    for cap, argv, message in USAGE_ERRORS:
+        if cap is None:
+            monkeypatch.delenv("DESARRANGE_CAP", raising=False)
+        else:
+            monkeypatch.setenv("DESARRANGE_CAP", cap)
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+    monkeypatch.delenv("DESARRANGE_CAP", raising=False)
     # over-cap requests are usage errors too, from every subcommand
     for argv in (["verify", "--n-max", "4"], ["conjecture", "--n-max", "4"],
                  ["tables", "1"]):
@@ -276,6 +300,24 @@ def test_usage_errors_exit_2(capsys):
                      "--order", "10", "--oracle"]) == 2
     captured = capsys.readouterr()
     assert captured.err.count("error:") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("argv, owner, name, exc", [
+    (["tables", "2"], rankdp, "rows", ZeroDivisionError),
+    (["verify", "--only", "table1"], verify, "enumerate_class", ZeroDivisionError),
+    (["seq", "d(321)", "9"], patterns, "closed_form_count", ZeroDivisionError),
+    (["conjecture", "--n-max", "4"], patterns, "tally", ZeroDivisionError),
+    # a ValueError of the series layer is a defect, not a bad entry
+    (["runthm", "fig2", "-i", "1", "-j", "2", "--order", "6"], series.SeriesMatrix, "inverse",
+     series.SingularMatrixError),
+], ids=["tables", "verify", "seq", "conjecture", "runthm"])
+def test_a_defect_exits_3_with_one_line(capsys, monkeypatch, argv, owner, name, exc):
+    def planted(*args, **kwargs):
+        raise exc("planted")
+
+    monkeypatch.setattr(owner, name, planted)
+    assert cli.main(argv) == 3
+    assert capsys.readouterr() == ("", f"internal error: {exc.__name__}: planted\n")
 
 
 _LOADED_LAYERS = """

@@ -5,7 +5,7 @@ import pytest
 from desarrange import formulas, oracle, rankdp
 from desarrange.formulas import (
     PoleError, evaluate_formula, fix_egf, good_t_points, mismatches, peak_egf,
-    right_valley_egf, row_text, rval_rows,
+    right_valley_egf, rval_rows,
 )
 from desarrange.series import exp_series
 from desarrange.verify import _substitute
@@ -93,13 +93,6 @@ def test_bivar_substitutions():
     assert _substitute(row, "t", 1) == {0: 3, 1: 6}
     assert sum(_substitute(row, "t", 1).values()) == 9
     assert list(_substitute({(1, 0): 2, (0, 1): 3}, "t", 1)) == [0, 1]  # keys ascending
-
-
-def test_row_text():
-    assert row_text({1: 3, 2: 5, 3: 1}) == "3t+5t^2+t^3"
-    assert row_text({0: 1}) == "1"
-    assert row_text({}) == "0"
-    assert row_text({2: 1}) == "t^2"
 
 
 def test_pd_identity_series():

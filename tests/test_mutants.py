@@ -300,6 +300,11 @@ MUTANTS = [
     ("fig3-loop-s_exp-(0,2)", _spec("fig3", lambda spec: _case(spec, 0, s_exp=(0, 2))),
      "run-theorem", 5, _fail("run-theorem", 5, 1, "fig3 ((1, 1), (1, 2)) + none at t=3 s=2: "
                                                   "4 vs joint_pix_des 2)")),
+    # parts of size 12 and up dropped: no n <= 11 sees it, and above 9 only the closed forms run
+    ("edge-parts-below-12", _setattr(rungraph.Edge, "exponents", lambda self, k,
+                                     real=rungraph.Edge.exponents: None if k >= 12 else real(self, k)),
+     "run-theorem", 14, _fail("run-theorem", 14, 12, "fig2 ((1, 2),) + one at t=2 s=1: "
+                                                    "11704818466 vs des 11704820514)")),
     ("walker-123", _walker("w123 and rest > bit", "w123 and rest > bit << 1"),
      "patterns", 4, _fail("pattern-counts", 4, 4, "{123}: formula 6 vs brute 8)")),
     ("walker-132", _walker("rest & (bit - 1) > low", "rest & ((bit >> 1) - 1) > low"),
