@@ -41,10 +41,8 @@ class HypothesisViolationError(Exception):
     """Some composition is admissible along more than one path."""
 
     def __init__(self, composition, i, j):
-        self.composition = tuple(composition)
-        self.pair = (i, j)
         super().__init__(
-            f"composition {self.composition} is ({i},{j})-admissible along multiple paths")
+            f"composition {tuple(composition)} is ({i},{j})-admissible along multiple paths")
 
 
 class PartSet(namedtuple("PartSet", "progressions extras")):
@@ -203,14 +201,8 @@ def _path_exponents(spec: RunGraphSpec, i: int, j: int, parts) -> tuple[int, int
 
 
 class AdmissibilityReport(namedtuple("AdmissibilityReport", "ok max_size violation")):
-    """violation is (composition, i, j) for the first ambiguous composition, else None."""
+    """violation is (composition, i, j), a witness of the smallest size, else None."""
     __slots__ = ()
-
-
-def _step(states, moves):
-    """Read one part on both sides of the self-product: every pair of moves."""
-    return {(u2, v2, d or u2 != v2)
-            for u, v, d in states for u2 in moves[u] for v2 in moves[v]}
 
 
 def validate_unique_admissibility(spec: RunGraphSpec, max_size: int) -> AdmissibilityReport:
@@ -228,57 +220,33 @@ def validate_unique_admissibility(spec: RunGraphSpec, max_size: int) -> Admissib
     all i is reachable exactly when one of them is.  The weights are never
     read.  Cost: O(max_size^2 * dim^2 * out-degree^2).
 
-    The report is the one the exhaustive search would return, which tries
-    sizes in increasing order, then the compositions of one size with the
-    largest first part first, then the largest second part and so on, then
-    start vertices i in increasing order, then end vertices j in the dict
-    order of _path_dp.  The witness composition is rebuilt greedily,
-    largest part first, keeping only states from which a violation can be
-    finished with exactly the size that remains; i and j are then picked by
-    running _path_dp on it.
+    Each state keeps the part and the state it was first reached from, and
+    the first (j, j, True) found walks back along them to the witness.
     """
     # moves[k][u]: the ends of the edges out of u whose guards admit part k
     moves = [None] + [
         {u: [e.dst for e in spec.edges_from(u) if e.exponents(k) is not None]
          for u in range(1, spec.dim + 1)}
         for k in range(1, max_size + 1)]
-    reach = [{(i, i, False) for i in range(1, spec.dim + 1)}]  # by total size
+    # reach[total]: each state reached at that total size -> (part, state before it)
+    reach = [dict.fromkeys((i, i, False) for i in range(1, spec.dim + 1))]
     for total in range(1, max_size + 1):
-        reach.append(set().union(*(_step(reach[total - k], moves[k])
-                                   for k in range(1, total + 1))))
-        if any(u == v and d for u, v, d in reach[total]):
-            comp = _first_violating_composition(spec, moves, total)
-            for i in range(1, spec.dim + 1):
-                state = _path_dp(spec, i, comp)
-                for j, (cnt, _) in state.items():
-                    if cnt > 1:
-                        return AdmissibilityReport(False, max_size, (comp, i, j))
-            raise AssertionError(f"{comp} reaches a violation but none is found")
+        reach.append({})
+        for k in range(1, total + 1):
+            for before in reach[total - k]:
+                u, v, d = before
+                for u2 in moves[k][u]:
+                    for v2 in moves[k][v]:
+                        reach[total].setdefault((u2, v2, d or u2 != v2), (k, before))
+        end = next(((u, v, d) for u, v, d in reach[total] if u == v and d), None)
+        if end is not None:
+            parts, state, left = [], end, total
+            while left:
+                k, state = reach[left][state]
+                parts.append(k)
+                left -= k
+            return AdmissibilityReport(False, max_size, (tuple(reversed(parts)), state[0], end[0]))
     return AdmissibilityReport(True, max_size, None)
-
-
-def _first_violating_composition(spec: RunGraphSpec, moves, total: int) -> tuple[int, ...]:
-    """The violating composition of the given size with the largest parts first."""
-    states = [(u, v, d) for u in range(1, spec.dim + 1)
-              for v in range(1, spec.dim + 1) for d in (False, True)]
-    # finish[r]: the states from which exactly r more reach some (j, j, True)
-    finish = [{(j, j, True) for j in range(1, spec.dim + 1)}]
-    for r in range(1, total + 1):
-        finish.append({st for st in states
-                       if any(_step((st,), moves[k]) & finish[r - k]
-                              for k in range(1, r + 1))})
-    front = {(i, i, False) for i in range(1, spec.dim + 1)}
-    parts = []
-    left = total
-    while left:
-        for k in range(left, 0, -1):
-            nxt = _step(front, moves[k]) & finish[left - k]
-            if nxt:
-                break
-        parts.append(k)
-        front = nxt
-        left -= k
-    return tuple(parts)
 
 
 # --- the pipeline ---

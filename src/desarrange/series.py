@@ -8,7 +8,7 @@ exp(c*x) at an integer c is just the powers c^k over 1.  Every ring
 operation works on these integers and truncates back to order N: a sum
 over the lcm of the denominators, a product as a binomial convolution, a
 quotient by an all-integer recurrence (an inverse is the quotient of
-one).  The rational coefficients are derived on first use, and
+one).  The rational coefficients are derived on each read, and
 egf_coeff_is tests an EGF coefficient against an integer without them.
 Arithmetic is only defined between series of equal order.  SeriesMatrix
 wraps a square grid of equal-order series and supports inversion by
@@ -71,7 +71,7 @@ class TruncSeries:
     canonical, so equal series have equal numerators and denominators.
     """
 
-    __slots__ = ("order", "_num", "_den", "_coeffs")
+    __slots__ = ("order", "_num", "_den")
 
     def __init__(self, coeffs, order: int | None = None):
         coeffs = [_as_fraction(c) for c in coeffs]
@@ -89,7 +89,6 @@ class TruncSeries:
         self.order = order
         self._num = tuple(num) + (0,) * (order + 1 - len(num))
         self._den = den
-        self._coeffs = None
 
     @classmethod
     def _make(cls, num, den: int, order: int) -> "TruncSeries":
@@ -101,7 +100,6 @@ class TruncSeries:
         out.order = order
         out._num = tuple(num) if g == 1 else tuple(v // g for v in num)
         out._den = den // g
-        out._coeffs = None
         return out
 
     @classmethod
@@ -114,14 +112,12 @@ class TruncSeries:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients of x^0 .. x^order, derived on first use."""
-        if self._coeffs is None:
-            out, fact = [], 1
-            for k, v in enumerate(self._num):
-                fact *= k or 1
-                out.append(Fraction(v, fact * self._den))
-            self._coeffs = tuple(out)
-        return self._coeffs
+        """The coefficients of x^0 .. x^order, derived on each read."""
+        out, fact = [], 1
+        for k, v in enumerate(self._num):
+            fact *= k or 1
+            out.append(Fraction(v, fact * self._den))
+        return tuple(out)
 
     def egf_coeff(self, n: int) -> Fraction:
         """n! times the coefficient of x^n."""

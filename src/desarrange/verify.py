@@ -359,7 +359,7 @@ def all_ok(reports) -> bool:
 def render_text(reports) -> str:
     lines = []
     for r in reports:
-        status = "PASS" if r.ok else "FAIL"
+        status = "SKIP" if not r.verdicts else "PASS" if r.ok else "FAIL"
         lines.append(f"{status} {r.subject} (n={r.n_range[0]}..{r.n_range[1]})")
         if not r.ok:
             for n, v in sorted(r.verdicts.items()):
