@@ -413,18 +413,11 @@ class EquidistributionReport(namedtuple("EquidistributionReport", "n_max entries
         """
         notes = []
         for e in self.entries:
-            if self.n_max >= self.RESOLVED_AT:
-                if e.counts_match != e.in_counts_theorem:
-                    notes.append(f"{{{e.patterns}}} counts_match={e.counts_match} "
-                                 f"but listed={e.in_counts_theorem}")
-                if e.pixfix_match != e.in_pixfix_conjecture:
-                    notes.append(f"{{{e.patterns}}} pixfix_match={e.pixfix_match} "
-                                 f"but conjectured={e.in_pixfix_conjecture}")
-            else:
-                if e.in_counts_theorem and not e.counts_match:
-                    notes.append(f"{{{e.patterns}}} is in the count list but differs")
-                if e.in_pixfix_conjecture and not e.pixfix_match:
-                    notes.append(f"{{{e.patterns}}} is conjectured but differs")
+            for verdict, name, listed, label in (
+                    (e.counts_match, "counts_match", e.in_counts_theorem, "listed"),
+                    (e.pixfix_match, "pixfix_match", e.in_pixfix_conjecture, "conjectured")):
+                if verdict != listed and (listed or self.n_max >= self.RESOLVED_AT):
+                    notes.append(f"{{{e.patterns}}} {name}={verdict} but {label}={listed}")
         return notes
 
     @property

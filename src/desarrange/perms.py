@@ -197,8 +197,10 @@ CLASSES = tuple(_CLASS_TESTS)
 
 
 def check_cap(n: int):
-    """Raise CapExceededError when n is above the enumeration cap: the
-    DESARRANGE_CAP environment variable, else the default."""
+    """Raise ValueError for a negative n, and CapExceededError above the
+    enumeration cap: the DESARRANGE_CAP environment variable, else the default."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     raw = os.environ.get(CAP_ENV_VAR) or str(DEFAULT_ENUMERATION_CAP)
     try:
         limit = int(raw)

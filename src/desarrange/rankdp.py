@@ -94,6 +94,8 @@ def walk(n_max: int, start, step, final) -> dict:
     None when no such word counts.  final(n, phase) is the s-exponent that
     ending at length n adds, or None when the word does not count.
     """
+    if n_max < 0:
+        raise ValueError("n must be non-negative")
     states = {(None, start, 0): [[1]]}
     table = {0: {(0, 0): 1}}
     for n in range(1, n_max + 1):

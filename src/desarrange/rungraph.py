@@ -72,13 +72,8 @@ class PartSet(namedtuple("PartSet", "progressions extras")):
 
 class WeightCase(namedtuple("WeightCase", "guard t_exp s_exp")):
     """On its guard (a PartSet), the part weight is t^(a*k+b) * s^(c*k+d),
-    with t_exp = (a, b) and s_exp = (c, d)."""
+    with t_exp = (a, b) and s_exp = (c, d); Edge.exponents reads it."""
     __slots__ = ()
-
-    def exponents(self, k: int) -> tuple[int, int]:
-        a, b = self.t_exp
-        c, d = self.s_exp
-        return a * k + b, c * k + d
 
 
 class Edge(namedtuple("Edge", "src dst cases")):
@@ -95,9 +90,9 @@ class Edge(namedtuple("Edge", "src dst cases")):
 
         The one statement of the part rule: the weight of part k is
         t^(t-exponent) * s^(s-exponent)."""
-        for case in self.cases:
-            if k in case.guard:
-                return case.exponents(k)
+        for guard, (a, b), (c, d) in self.cases:
+            if k in guard:
+                return a * k + b, c * k + d
         return None
 
 
@@ -200,13 +195,9 @@ def _path_exponents(spec: RunGraphSpec, i: int, j: int, parts) -> tuple[int, int
     return ex
 
 
-class AdmissibilityReport(namedtuple("AdmissibilityReport", "ok max_size violation")):
-    """violation is (composition, i, j), a witness of the smallest size, else None."""
-    __slots__ = ()
-
-
-def validate_unique_admissibility(spec: RunGraphSpec, max_size: int) -> AdmissibilityReport:
-    """Decide whether some composition of size <= max_size is admissible along two paths.
+def validate_unique_admissibility(spec: RunGraphSpec, max_size: int) -> tuple | None:
+    """A witness (composition, i, j) of the smallest size <= max_size whose
+    composition is (i,j)-admissible along two paths, or None when there is none.
 
     Runs the ambiguity test on the self-product automaton (Weber & Seidl
     1991; Allauzen, Mohri & Rastogi 2008).  A state (u, v, diverged) follows
@@ -245,8 +236,8 @@ def validate_unique_admissibility(spec: RunGraphSpec, max_size: int) -> Admissib
                 k, state = reach[left][state]
                 parts.append(k)
                 left -= k
-            return AdmissibilityReport(False, max_size, (tuple(reversed(parts)), state[0], end[0]))
-    return AdmissibilityReport(True, max_size, None)
+            return tuple(reversed(parts)), state[0], end[0]
+    return None
 
 
 # --- the pipeline ---
@@ -275,10 +266,9 @@ def run_theorem_egf(spec: RunGraphSpec, i: int, j: int, t=1, s=1,
     """
     if not (1 <= i <= spec.dim and 1 <= j <= spec.dim):
         raise EntryError(f"entry ({i},{j}) outside 1..{spec.dim}")
-    report = validate_unique_admissibility(spec, order)
-    if not report.ok:
-        comp, vi, vj = report.violation
-        raise HypothesisViolationError(comp, vi, vj)
+    violation = validate_unique_admissibility(spec, order)
+    if violation is not None:
+        raise HypothesisViolationError(*violation)
     b = weight_series_matrix(spec, t, s, order)
     a = b.inverse()
     return hat_transform(a).inverse().entry(i, j)

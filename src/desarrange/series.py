@@ -257,41 +257,34 @@ def poly_series(coeffs, order: int) -> TruncSeries:
     return TruncSeries([_as_fraction(c) for c in coeffs[: order + 1]], order)
 
 
-def exp_series(c, order: int) -> TruncSeries:
-    """exp(c*x) = sum_k c^k x^k / k!: numerators p^k q^(order-k) over q^order, c = p/q."""
-    c = _as_fraction(c)
-    p, q = c.numerator, c.denominator
-    p_pow, q_pow = [1], [1]
-    for _ in range(order):
-        p_pow.append(p_pow[-1] * p)
-        q_pow.append(q_pow[-1] * q)
-    return TruncSeries._make([pk * qk for pk, qk in zip(p_pow, reversed(q_pow))],
-                             q_pow[-1], order)
-
-
-def _even_powers(p, order: int, start: int, scale: int) -> TruncSeries:
-    """Numerators a^k (4b)^(K-k) at x^(start+2k), k = 0..K, over scale * (4b)^K,
-    with p = a/b and K the largest k with start + 2k <= order."""
-    p = _as_fraction(p)
-    a, four_b = p.numerator, 4 * p.denominator
-    count = len(range(start, order + 1, 2))
+def _powers(r, order: int, start: int = 0, step: int = 1, scale: int = 1) -> TruncSeries:
+    """Numerators a^k b^(K-k) at x^(start+step*k), k = 0..K, over scale * b^K,
+    with r = a/b and K the largest k with start + step*k <= order."""
+    r = _as_fraction(r)
+    a, b = r.numerator, r.denominator
+    count = len(range(start, order + 1, step))
     a_pow, b_pow = [1] * count, [1] * count
     for k in range(1, count):
         a_pow[k] = a_pow[k - 1] * a
-        b_pow[k] = b_pow[k - 1] * four_b
+        b_pow[k] = b_pow[k - 1] * b
     num = [0] * (order + 1)
-    num[start::2] = [x * y for x, y in zip(a_pow, reversed(b_pow))]
+    num[start::step] = [x * y for x, y in zip(a_pow, reversed(b_pow))]
     return TruncSeries._make(num, scale * (b_pow[-1] if count else 1), order)
+
+
+def exp_series(c, order: int) -> TruncSeries:
+    """exp(c*x) = sum_k c^k x^k / k!."""
+    return _powers(c, order)
 
 
 def cosh_even(p, order: int) -> TruncSeries:
     """sum_k p^k (x/2)^{2k} / (2k)!, i.e. cosh(a*x/2) written in p = a^2."""
-    return _even_powers(p, order, 0, 1)
+    return _powers(_as_fraction(p) / 4, order, 0, 2)
 
 
 def sinh_even_div(p, order: int) -> TruncSeries:
     """sum_k p^k (x/2)^{2k+1} / (2k+1)!, i.e. sinh(a*x/2)/a written in p = a^2."""
-    return _even_powers(p, order, 1, 2)
+    return _powers(_as_fraction(p) / 4, order, 1, 2, 2)
 
 
 # The named series added to a run-theorem entry, by order.  cosh x completes

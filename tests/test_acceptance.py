@@ -126,11 +126,11 @@ def test_criterion_08_equidistribution_evidence():
 def test_criterion_09_hypothesis_validation():
     t0 = time.perf_counter()
     for name in rungraph.BUILTIN_SPECS:
-        report = rungraph.validate_unique_admissibility(rungraph.builtin_spec(name), 12)
-        assert report.ok, (name, report.violation)
+        violation = rungraph.validate_unique_admissibility(rungraph.builtin_spec(name), 12)
+        assert violation is None, (name, violation)
     from test_rungraph import ambiguous_spec
     bad = rungraph.validate_unique_admissibility(ambiguous_spec(), 12)
-    assert not bad.ok and bad.violation[0] == (1, 1)
+    assert bad is not None and bad[0] == (1, 1)
     with pytest.raises(rungraph.HypothesisViolationError):
         rungraph.run_theorem_egf(ambiguous_spec(), 1, 2, order=4)
     _report(9, "unique-admissibility validation", t0, 5)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from desarrange import formulas, oracle, rankdp
+from desarrange import oracle, rankdp
 from desarrange.formulas import (
     PoleError, evaluate_formula, fix_egf, good_t_points, mismatches, peak_egf,
     right_valley_egf, rval_rows,

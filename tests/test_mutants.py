@@ -288,6 +288,11 @@ MUTANTS = [
         s for s in patterns.PIXFIX_CONJECTURE_SETS if s != patterns.parse_patterns("132,312"))),
      "equidistribution", 7,
      _fail("equidistribution", 7, 7, "{132,312} pixfix_match=True but conjectured=False)")),
+    # below RESOLVED_AT a listed set that differs gets the same note
+    ("pixfix-conjecture-with-132", _setattr(patterns, "PIXFIX_CONJECTURE_SETS", (
+        *patterns.PIXFIX_CONJECTURE_SETS, frozenset(patterns.parse_patterns("132")))),
+     "equidistribution", 6,
+     _fail("equidistribution", 6, 6, "{132} pixfix_match=False but conjectured=True)")),
     ("fig2-ambiguous", _spec("fig2", lambda spec: ambiguous_spec()), "run-theorem", 4,
      _fail("run-theorem", 4, 4, "hypothesis violation: composition (1, 1) "
                                 "is (1,2)-admissible along multiple paths)\n")),

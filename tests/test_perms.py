@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from desarrange import perms
+from desarrange import oracle, perms, rankdp, rungraph
 from desarrange.oracle import marginal
 from desarrange.perms import (
     CapExceededError, InvariantError, descent_composition,
@@ -307,6 +307,29 @@ def test_census_cap(monkeypatch):
     with pytest.raises(CapExceededError):
         perms.avoiders(4, {(3, 2, 1)})
     assert sum(c for group in perms.census(3, "all").values() for c, _ in group.values()) == 6
+
+
+# Each entry that walks, memoizes or counts by length, at a negative length.
+# check_cap and rankdp.walk refuse it; without them the walker's set of
+# unused values never empties at n = -1, and the walk runs until memory does.
+NEGATIVE_LENGTH_CALLS = {
+    "avoiders": lambda n: perms.avoiders(n, ()),
+    "census": lambda n: perms.census(n, "all"),
+    "tally": lambda n: perms.tally(n, (), "all", perms.des),
+    "class_count": lambda n: perms.class_count(n, {(3, 2, 1)}, "desarrangements"),
+    "enumerate_class": lambda n: list(enumerate_class(n)),
+    "oracle.distribution": lambda n: oracle.distribution(n, ["des"]),
+    "descent_composition_counts": rungraph.descent_composition_counts,
+    "oracle_weight_sum": lambda n: rungraph.oracle_weight_sum(
+        rungraph.builtin_spec("fig1"), 1, 3, n),
+    "rankdp.rows": lambda n: rankdp.rows("eulerian", n),
+}
+
+
+@pytest.mark.parametrize("call", NEGATIVE_LENGTH_CALLS.values(), ids=NEGATIVE_LENGTH_CALLS)
+def test_a_negative_length_is_a_value_error(call):
+    with pytest.raises(ValueError, match="non-negative"):
+        call(-1)
 
 
 def test_class_census_is_the_census_cut_to_the_class(monkeypatch):

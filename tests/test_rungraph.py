@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from desarrange import rungraph
 from desarrange.formulas import evaluate_formula
 from desarrange.rungraph import (
-    AdmissibilityReport, Edge, HypothesisViolationError, PartSet, RunGraphSpec,
+    Edge, HypothesisViolationError, PartSet, RunGraphSpec,
     SpecFormatError, WeightCase, builtin_spec, oracle_weight_sum,
     run_theorem_egf, spec_from_json, validate_unique_admissibility,
 )
@@ -80,11 +80,11 @@ def test_weighted_composition_weight():
 
 def test_validate_unique_admissibility():
     for name in rungraph.BUILTIN_SPECS:
-        report = validate_unique_admissibility(builtin_spec(name), 12)
-        assert report.ok, report
-    report = validate_unique_admissibility(ambiguous_spec(), 6)
-    assert not report.ok
-    comp, i, j = report.violation
+        violation = validate_unique_admissibility(builtin_spec(name), 12)
+        assert violation is None, violation
+    violation = validate_unique_admissibility(ambiguous_spec(), 6)
+    assert violation is not None
+    comp, i, j = violation
     assert comp == (1, 1) and (i, j) == (1, 2)
 
 
@@ -107,15 +107,16 @@ def _compositions_of(total: int):
 
 
 def exhaustive_admissibility(spec, max_size):
-    """Reference check: every composition of every size <= max_size from every start."""
+    """Reference check: every composition of every size <= max_size from every
+    start; the first witness (composition, i, j) found, or None."""
     for total in range(1, max_size + 1):
         for comp in _compositions_of(total):
             for i in range(1, spec.dim + 1):
                 state = rungraph._path_dp(spec, i, comp)
                 for j, (cnt, _) in state.items():
                     if cnt > 1:
-                        return AdmissibilityReport(False, max_size, (comp, i, j))
-    return AdmissibilityReport(True, max_size, None)
+                        return comp, i, j
+    return None
 
 
 def test_admissibility_matches_exhaustive_reference():
@@ -171,12 +172,12 @@ def test_guard_overlap_is_the_smallest_common_part(a, b):
     Edge(1, 3, (unit_case(extras=[1, 2]),)), Edge(2, 3, (unit_case(extras=[1]),)),
     Edge(3, 1, (unit_case(extras=[1, 3]),)))), 2)
 def test_admissibility_matches_exhaustive_on_random_specs(spec, max_size):
-    report = validate_unique_admissibility(spec, max_size)
+    violation = validate_unique_admissibility(spec, max_size)
     reference = exhaustive_admissibility(spec, max_size)
-    assert (report.ok, report.max_size) == (reference.ok, reference.max_size)
-    if not report.ok:
-        comp, i, j = report.violation
-        assert sum(comp) == sum(reference.violation[0])
+    assert (violation is None) == (reference is None)
+    if violation is not None:
+        comp, i, j = violation
+        assert sum(comp) == sum(reference[0])
         assert rungraph._path_dp(spec, i, comp)[j][0] > 1
 
 
@@ -184,7 +185,7 @@ def test_admissibility_matches_exhaustive_on_random_specs(spec, max_size):
 @given(random_specs(), st.sampled_from([(1, 1), (2, 1), (3, 2), (Fraction(1, 2), 3)]))
 def test_pipeline_matches_oracle_on_random_weighted_specs(spec, point):
     # the matrix builder reads every edge's exponents; the oracle reads them per path
-    assume(validate_unique_admissibility(spec, 6).ok)
+    assume(validate_unique_admissibility(spec, 6) is None)
     t, s = point
     for i, j in itertools.product(range(1, spec.dim + 1), repeat=2):
         egf = run_theorem_egf(spec, i, j, t, s, order=6)
@@ -360,7 +361,7 @@ def peak_descent_spec():
 
 def test_double_ascent_derivation():
     spec = double_ascent_spec()
-    assert validate_unique_admissibility(spec, 10).ok
+    assert validate_unique_admissibility(spec, 10) is None
     for t in (2, 3, 7):
         egf = run_theorem_egf(spec, 1, 3, t=t, order=8)
         assert egf + cosh_even(4, 8) == evaluate_formula("dasc", t=t, order=8)
