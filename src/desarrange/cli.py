@@ -131,6 +131,8 @@ def cmd_tables(args) -> int:
             bad = next(formulas.mismatches(tag, rows), None)
         except formulas.PoleError as exc:
             bad = args.n_max, f"formula pole: {exc}"
+        if list(rows) != list(range(args.n_max + 1)):  # not one row more or fewer
+            bad = args.n_max, f"counted rows {min(rows)}..{max(rows)}, not 0..{args.n_max}"
         if bad is not None:  # the rows print only once the formula meets them
             print(f"mismatch: {tag} at n={bad[0]}: {bad[1]}", file=sys.stderr)
             return 1
@@ -199,9 +201,12 @@ def cmd_seq(args) -> int:
     else:
         raise UsageError(f"unknown sequence {name!r}; have {patterns.SEQUENCE_IDS} "
                          "or d(<patterns>)")
-    for n, v in enumerate(values):  # each term is written as soon as it is computed
-        sys.stdout.write(f",{v}" if n else str(v))
-    sys.stdout.write("\n")
+    n = -1
+    try:
+        for n, v in enumerate(values):  # each term is written as soon as it is computed
+            sys.stdout.write(f",{v}" if n else str(v))
+    finally:  # a line that a defect cuts short still ends
+        sys.stdout.write("\n" if n >= 0 else "")
     return 0
 
 

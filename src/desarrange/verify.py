@@ -81,10 +81,10 @@ CHECKS = {}  # check name -> check(n_max), in registration order
 
 
 def _check(name: str, subject: str, n_min: int, limit: int):
-    """Register fill(rep, top) as a check over n_min..min(n_max, limit); a
-    formula with a pole at every sampled point, or a spec that breaks the
-    run theorem's hypothesis, makes the check fail at the top of the range,
-    not crash."""
+    """Register fill(rep, top) as a check over n_min..min(n_max, limit); fill
+    records what its comparisons produce, and an n of the range that none
+    reached fails.  A formula with a pole at every sampled point, or a spec
+    that breaks the run theorem's hypothesis, fails at the top, not crash."""
     def register(fill):
         def check(n_max: int) -> VerificationReport:
             rep = VerificationReport(subject, (n_min, min(n_max, limit)), n_requested=n_max)
@@ -95,6 +95,9 @@ def _check(name: str, subject: str, n_min: int, limit: int):
                 rep.record(top, False, f"formula pole: {exc}")
             except rungraph.HypothesisViolationError as exc:
                 rep.record(top, False, f"hypothesis violation: {exc}")
+            else:
+                for n in set(range(n_min, top + 1)) - rep.verdicts.keys():
+                    rep.record(n, False, "not compared")
             return rep
         check.__name__, check.__doc__ = fill.__name__, fill.__doc__
         CHECKS[name] = check
@@ -118,11 +121,11 @@ def check_statistic_tables(rep: VerificationReport, top: int):
     tally per class and n, of every statistic its tables read (and rval over
     D_n), projects onto each table's row, a joint one onto (s, t)."""
     tables = {tag: rankdp.rows(tag, top) for tag in rankdp.TABLES}
-    for n in range(top + 1):
-        rep.record(n, True)  # each comparison below records only a mismatch
     for tag, rows in tables.items():
         for n, note in formulas.mismatches(tag, rows):
             rep.record(n, False, f"{tag}: {note}")
+        for n in rows:  # mismatches compares every row it is given
+            rep.record(n, True)
     tables["rval"] = formulas.rval_rows(tables["pk"])
     named = {**rankdp.TABLES, "rval": ("desarrangements", "rval", None)}
     stats = {}  # class -> the statistics its tables read, in order
@@ -154,41 +157,36 @@ _RUN_THEOREM_CASES = (
 def check_run_theorem(rep: VerificationReport, top: int):
     """Built-in graph specs against the closed forms, and up to n = 9
     against enumeration."""
-    order = top
-    for n in range(top + 1):
-        rep.record(n, True)  # each comparison below records only a mismatch
     for name, entries, correction, tag, frozen, points in _RUN_THEOREM_CASES:
         spec = rungraph.builtin_spec(name)
         for t, s in points:
-            egf = CORRECTIONS[correction](order)
+            egf = CORRECTIONS[correction](top)
             for i, j in entries:
-                part = rungraph.run_theorem_egf(spec, i, j, t=t, s=s, order=order)
+                part = rungraph.run_theorem_egf(spec, i, j, t=t, s=s, order=top)
                 for n in range(min(top, 9) + 1):  # the oracle reads the census
                     got = part.egf_coeff(n)
                     direct = rungraph.oracle_weight_sum(spec, i, j, n, t=t, s=s)
-                    if got != direct:
-                        rep.record(n, False, f"{name}({i},{j}) t={t} s={s}: {got} vs {direct}")
+                    rep.record(n, got == direct, "" if got == direct else
+                               f"{name}({i},{j}) t={t} s={s}: {got} vs {direct}")
                 egf = egf + part
-            closed = formulas.evaluate_formula(tag, t=t, s=s, order=order)
+            closed = formulas.evaluate_formula(tag, t=t, s=s, order=top)
             for n in range(top + 1):
                 got, want = egf.egf_coeff(n), closed.egf_coeff(n)
-                if got != want or n < len(frozen) and got != frozen[n]:
-                    known = f", known {frozen[n]}" if n < len(frozen) else ""
-                    rep.record(n, False, f"{name} {entries} + {correction} at t={t} s={s}: "
-                                         f"{got} vs {tag} {want}{known}")
+                ok = got == want and (n >= len(frozen) or got == frozen[n])
+                known = f", known {frozen[n]}" if n < len(frozen) else ""
+                rep.record(n, ok, "" if ok else f"{name} {entries} + {correction} at t={t} "
+                                                f"s={s}: {got} vs {tag} {want}{known}")
 
 
 @_check("patterns", "pattern-counts", 0, 9)
 def check_pattern_counts(rep: VerificationReport, top: int):
     """closed_form_count equals the brute-force count for all 64 subsets."""
     for n in range(top + 1):
-        rep.record(n, True)
         for pats in patterns.all_pattern_sets():
             brute = class_count(n, pats, "desarrangements")
             formula = patterns.closed_form_count(n, pats)
-            if brute != formula:
-                rep.record(n, False, f"{{{patterns.patterns_label(pats)}}}: "
-                                     f"formula {formula} vs brute {brute}")
+            rep.record(n, brute == formula, "" if brute == formula else
+                       f"{{{patterns.patterns_label(pats)}}}: formula {formula} vs brute {brute}")
 
 
 # (pattern, fact every desarrangement avoiding it satisfies, failure note); the
@@ -207,9 +205,9 @@ def check_lemma_facts(rep: VerificationReport, top: int):
     for n in range(2, top + 1):
         for sigma, fact, note in _LEMMA_FACTS:
             for p in avoiders(n, {sigma}, "desarrangements"):
-                if not fact(p):
-                    rep.record(n, False, f"{patterns.pattern_name(sigma)}-avoider {p}: {note}")
-        rep.record(n, True)  # n with no avoiders at all still gets a verdict
+                ok = fact(p)
+                rep.record(n, ok, "" if ok else
+                           f"{patterns.pattern_name(sigma)}-avoider {p}: {note}")
 
 
 def _bijection_ok(b: patterns.Bijection, n: int) -> tuple[bool, str]:
@@ -220,8 +218,6 @@ def _bijection_ok(b: patterns.Bijection, n: int) -> tuple[bool, str]:
     distinct, and at the end the images at each shift must be exactly the
     target class of length n + shift.
     """
-    if n < b.n_min:
-        return True, ""
     fixed = class_predicate(b.fixes) if b.fixes else lambda p: False
     targets = {shift: set(avoiders(n + shift, *b.target)) for shift in b.shifts}
     images = {shift: set() for shift in b.shifts}
@@ -271,8 +267,9 @@ def check_bijections(rep: VerificationReport, top: int):
             rep.record(len(arg), got == want, f"{name}({arg}) = {got}, want {want}")
     for n in range(top + 1):
         for b in patterns.BIJECTIONS.values():
-            ok, msg = _bijection_ok(b, n)
-            rep.record(n, ok, f"{b.name}: {msg}")
+            if n >= b.n_min:
+                ok, msg = _bijection_ok(b, n)
+                rep.record(n, ok, f"{b.name}: {msg}")
         # cardinality recurrences behind the prepend maps
         c_n = patterns.sequence("catalan", n)
         for sigma_name, sigma in (("213", patterns.P213), ("312", patterns.P312)):
@@ -308,12 +305,12 @@ def check_specializations(rep: VerificationReport, top: int):
     the top.  statistic-tables compares the joint tables themselves with
     their formulas and with brute force."""
     tables = {tag: rankdp.rows(tag, top) for tag in dict.fromkeys(r[0] for r in _SPECIALIZATIONS)}
-    for n in range(top + 1):
-        rep.record(n, True)  # each comparison below records only a mismatch
     for tag, var, value, target, shadow in _SPECIALIZATIONS:
         rows = {n: _substitute(row, var, value) for n, row in tables[tag].items()}
         for n, note in formulas.mismatches(target, rows, "t" if var == "s" else "s"):
             rep.record(n, False, f"{tag} at {var}={value} vs {target}: {note}")
+        for n in rows:  # mismatches compares every row it is given
+            rep.record(n, True)
         if shadow is not None:
             for n, got in rows.items():
                 want = oracle.distribution(n, *shadow)
@@ -336,10 +333,12 @@ def check_specializations(rep: VerificationReport, top: int):
 @_check("equidistribution", "equidistribution", 0, 8)
 def check_equidistribution(rep: VerificationReport, top: int):
     """The ten-set count identity and nine-set pix/fix evidence lists, judged
-    by EquidistributionReport.failures."""
-    rep.record(top, True)
-    for note in patterns.equidistribution_report(top).failures():
+    by EquidistributionReport.failures over the tallies of every n <= top."""
+    report = patterns.equidistribution_report(top)
+    for note in report.failures():
         rep.record(top, False, note)
+    for n in range(report.n_max + 1) if report.entries else ():
+        rep.record(n, True)
 
 
 def verify_all(n_max: int = 9, only: str | None = None) -> list[VerificationReport]:

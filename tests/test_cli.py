@@ -59,6 +59,16 @@ def test_a_miscopied_formula_prints_no_table(monkeypatch, capsys, which):
                               f"could not find 7 good points for {tag}\n")
 
 
+@pytest.mark.parametrize("mutant", ["WALK_DROPS_LAST_ROW", "WALK_ADDS_A_ROW"])
+def test_tables_print_only_rows_0_to_n_max(monkeypatch, capsys, mutant):
+    # a row the formula never met, or one past --n-max, prints no table
+    import test_mutants
+    getattr(test_mutants, mutant)(monkeypatch)
+    assert cli.main(["tables", "2", "--n-max", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("mismatch: des at n=5: ") and err.count("\n") == 1
+
+
 def test_row_text():
     assert cli.row_text({1: 3, 2: 5, 3: 1}) == "3t+5t^2+t^3"
     assert cli.row_text({0: 1}) == "1"
@@ -321,6 +331,18 @@ def test_a_defect_exits_3_with_one_line(capsys, monkeypatch, argv, owner, name, 
     monkeypatch.setattr(owner, name, planted)
     assert cli.main(argv) == 3
     assert capsys.readouterr() == ("", f"internal error: {exc.__name__}: planted\n")
+
+
+def test_a_defect_mid_sequence_ends_the_line_it_started(capsys, monkeypatch):
+    def planted(n, pats, real=patterns.closed_form_count):
+        if n == 7:
+            raise ZeroDivisionError("planted")
+        return real(n, pats)
+
+    monkeypatch.setattr(patterns, "closed_form_count", planted)
+    assert cli.main(["seq", "d(321)", "9"]) == 3
+    assert capsys.readouterr() == ("1,0,1,2,5,14,42\n",
+                                   "internal error: ZeroDivisionError: planted\n")
 
 
 _LOADED_LAYERS = """

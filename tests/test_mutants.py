@@ -199,6 +199,12 @@ def _at_each_t(note):
     return "); mismatch(".join(f"{note} at t={t}" for t in (2, 3, 5)) + ")\n"
 
 
+# rankdp.walk's loop bound one short or one long: its last row is dropped, or
+# a row past n_max is counted
+WALK_DROPS_LAST_ROW = _dp("walk", "range(1, n_max + 1)", "range(1, n_max)")
+WALK_ADDS_A_ROW = _dp("walk", "range(1, n_max + 1)", "range(1, n_max + 2)")
+NO_PATTERN_SETS = _setattr(patterns, "all_pattern_sets", lambda: iter(()))
+
 _S8, _S17 = "s=2^8, t=2", "s=2^17, t=2"  # the joint sample points at n_max 5 and 8
 _PKDES, _PIXDES = "joint_pk_des", "joint_pix_des"
 
@@ -281,6 +287,15 @@ MUTANTS = [
      _fail(_TABLES, 5, 1, _missed(_PIXDES, 1, 256, _S8))),
     ("dp-pix-odd-end-without-s", _counted("PIX_END", "odd", 0), "tables", 5,
      _fail(_TABLES, 5, 3, _missed(_PIXDES, 16778248, 16779268, _S8))),
+    # a defect that removes comparisons: the n they would have reached reads not compared
+    ("walk-drops-last-row", WALK_DROPS_LAST_ROW, "tables", 12,
+     _fail(_TABLES, 12, 12, "not compared)\n")),
+    ("lemma-avoiders-empty", _setattr(verify, "avoiders", lambda *args: []), "lemmas", 9,
+     _fail("lemma-structure", 9, 2, "not compared)", low=2)),
+    ("no-pattern-sets-counted", NO_PATTERN_SETS, "patterns", 4,
+     _fail("pattern-counts", 4, 0, "not compared)")),
+    ("no-pattern-sets-judged", NO_PATTERN_SETS, "equidistribution", 6,
+     _fail("equidistribution", 6, 0, "not compared)")),
     ("table1-listing-dropped", _setattr(verify, "KNOWN_DESARRANGEMENTS", {
         **verify.KNOWN_DESARRANGEMENTS, 4: verify.KNOWN_DESARRANGEMENTS[4][1:]}),
      "table1", 5, _fail("table1-membership", 5, 4, "enumerated 9 of 8)")),

@@ -80,6 +80,31 @@ def test_render_functions():
     assert len(data["reports"]) == len(reports)
 
 
+def test_an_n_that_no_comparison_reached_fails(monkeypatch):
+    monkeypatch.setattr(verify, "CHECKS", dict(verify.CHECKS))  # the toy checks leave no entry
+
+    @verify._check("toy", "toy", 0, 2)
+    def compares_n_0(rep, top):
+        rep.record(0, True)
+
+    @verify._check("toy", "toy", 0, 2)
+    def has_a_pole(rep, top):
+        rep.record(0, True)
+        raise formulas.PoleError("no sample point")
+
+    @verify._check("toy", "toy", 3, 5)
+    def compares_nothing(rep, top):
+        pass
+
+    assert verify.render_text([compares_n_0(9), has_a_pole(9), compares_nothing(2)]) == (
+        "FAIL toy (n=0..2)\n"
+        "    n=1: mismatch(not compared)\n"
+        "    n=2: mismatch(not compared)\n"
+        "FAIL toy (n=0..2)\n"
+        "    n=2: mismatch(formula pole: no sample point)\n"
+        "SKIP toy (n=3..2)")
+
+
 def test_report_records_mismatch_details():
     rep = verify.VerificationReport("demo", (0, 1))
     rep.record(0, True)
